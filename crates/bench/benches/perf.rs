@@ -1,12 +1,11 @@
 //! Library performance: single-switch pipeline throughput (compiled
 //! [`ExecPlan`] path vs the per-packet reference path vs the batch-first
 //! `process_batch` path, with a batch-size sweep) and network delivery
-//! throughput (sequential `deliver` vs `deliver_batch` vs the multi-core
-//! `deliver_batch_parallel`), on the full Q1–Q9 workload.
+//! throughput (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9
+//! workload.
 //!
 //! Prints a table and writes machine-readable results to `BENCH_perf.json`
-//! at the repository root, including a `thread_scaling` series for the
-//! parallel executor.
+//! at the repository root.
 //!
 //! ## Honest measurement
 //!
@@ -17,32 +16,20 @@
 //! same pass count, so the report-count equality checks still pin them to
 //! bit-identical behaviour.
 //!
-//! Thread counts are **capped at the machine's cores** — running more
-//! workers than cores measures time-slicing, not scaling, and must not be
-//! published as scaling data. `NEWTON_BENCH_THREADS=1,2,16` overrides the
-//! list; entries beyond the core count are then tagged
-//! `oversubscribed: true` and excluded from the headline parallel speedup.
-//!
 //! Acceptance bars asserted here: the ExecPlan pipeline is ≥2× the
-//! reference path; parallel delivery at 1 worker stays within 10% of both
-//! `deliver_batch` *and* sequential `deliver` (it dispatches to the plain
-//! per-packet walk, which must never lose to either reference path); and —
-//! on machines with ≥4 cores — parallel delivery is ≥2× the sequential
-//! batch path.
+//! reference path; the telemetry sinks stay cheap on the pipeline hot
+//! path; and the batched pipeline never loses to per-packet calls.
 //!
 //! Set `NEWTON_PERF_SMOKE=1` for a CI-sized run: a small trace, fewer
-//! passes, threads {1, 2} (2 kept even on one core, purely as a
-//! bit-equality check of the pool), the speedup gate at 1 worker
-//! (re-measured once before failing, so shared-runner noise can't flake
-//! the job), loosened wall-clock margins (the tiny trace is noisier than
-//! the full one), and no JSON output.
+//! passes, loosened wall-clock margins (the tiny trace is noisier than
+//! the full one; each gate re-measures once before failing, so
+//! shared-runner noise can't flake the job), and no JSON output.
 
 use std::time::Instant;
 
 use newton::compiler::{compile, CompilerConfig};
-use newton::dataplane::{BatchOutput, PipelineConfig, Switch, DEFAULT_BATCH_LANES};
-use newton::metrics::MetricsRegistry;
-use newton::net::{effective_parallelism, Network, NodeId, PoolMetrics, Topology};
+use newton::dataplane::{BatchOutput, PipelineConfig, Switch};
+use newton::net::{Network, NodeId, Topology};
 use newton::packet::{Packet, SnapshotHeader};
 use newton::query::catalog;
 use newton::telemetry::{NoopSink, Recorder};
@@ -52,6 +39,10 @@ use newton_bench::{evaluation_traces, peak_rss_json, print_table};
 /// minute, large enough that per-packet costs dominate setup.
 const PIPELINE_REPS: usize = 5;
 const DELIVERY_REPS: usize = 4;
+/// Packets per `process_batch` call at which the batch-path gate is
+/// checked: the batch-size sweep is flat within noise from 32 lanes up
+/// (the walk is compute-bound on an L1-resident working set).
+const GATED_BATCH_LANES: usize = 64;
 
 fn q19_switch() -> Switch {
     let mut sw = Switch::new(PipelineConfig::default());
@@ -63,8 +54,7 @@ fn q19_switch() -> Switch {
 }
 
 /// Fastest-pass packets/sec over `passes` timed passes of `pass` (after
-/// one untimed warm-up pass that faults in pages, grows maps and spawns
-/// worker pools), plus the report-count sink across **all** passes so the
+/// one untimed warm-up pass that faults in pages and grows maps), plus the report-count sink across **all** passes so the
 /// work is observable and comparable across paths.
 fn best_rate(packets: usize, passes: usize, mut pass: impl FnMut() -> usize) -> (f64, usize) {
     let mut sink = pass();
@@ -105,55 +95,14 @@ fn fmt_rate(r: f64) -> String {
     format!("{:.2} Mpkt/s", r / 1e6)
 }
 
-/// One `thread_scaling` measurement.
-struct ScalingEntry {
-    threads: usize,
-    rate: f64,
-    /// More workers than the machine has cores: bit-identical output, but
-    /// the timing measures time-slicing, not scaling.
-    oversubscribed: bool,
-}
-
-/// The thread counts to measure: `{1, 2, 4, 8} ∪ {cores}` capped at the
-/// core count, or the `NEWTON_BENCH_THREADS` override (which may
-/// oversubscribe — those entries get tagged). Smoke mode keeps `{1, 2}`
-/// even on one core so CI always bit-checks the pool; the 2-worker timing
-/// is then marked oversubscribed and carries no gate.
-fn thread_counts(cores: usize, smoke: bool) -> Vec<(usize, bool)> {
-    if let Ok(list) = std::env::var("NEWTON_BENCH_THREADS") {
-        let mut counts: Vec<(usize, bool)> = list
-            .split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .map(|t| (t.max(1), t > cores))
-            .collect();
-        counts.sort_unstable();
-        counts.dedup();
-        if !counts.is_empty() {
-            return counts;
-        }
-    }
-    let base: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut counts: Vec<(usize, bool)> =
-        base.iter().copied().filter(|&t| t <= cores).map(|t| (t, false)).collect();
-    if !smoke && cores > 1 && !counts.iter().any(|&(t, _)| t == cores) {
-        counts.push((cores, false));
-    }
-    if smoke && !counts.iter().any(|&(t, _)| t == 2) {
-        counts.push((2, true));
-    }
-    counts.sort_unstable();
-    counts
-}
-
 fn main() {
     let smoke = std::env::var_os("NEWTON_PERF_SMOKE").is_some();
-    let cores = effective_parallelism();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Smoke passes stay cheap (~ms each on the small trace) but there must
     // be several of them: fastest-of-1 on a shared CI runner is noise, and
     // the wall-clock gates below would flake on it.
     let (trace_len, pipeline_reps, delivery_reps): (usize, usize, usize) =
         if smoke { (8_000, 3, 3) } else { (40_000, PIPELINE_REPS, DELIVERY_REPS) };
-    let counts = thread_counts(cores, smoke);
 
     // One evaluation trace with all nine attack behaviours injected, so
     // every query has work to do.
@@ -222,14 +171,14 @@ fn main() {
             (lanes, rate)
         })
         .collect();
-    let batch_rate_default = batch_sweep
+    let batch_rate_gated = batch_sweep
         .iter()
-        .find(|&&(lanes, _)| lanes == DEFAULT_BATCH_LANES)
+        .find(|&&(lanes, _)| lanes == GATED_BATCH_LANES)
         .map(|&(_, rate)| rate)
         .expect("the sweep covers the default batch size");
 
-    // --- Network delivery: sequential deliver vs deliver_batch vs the
-    // multi-core executor, all timed identically (fastest of N passes).
+    // --- Network delivery: per-packet deliver vs deliver_batch, timed
+    // identically (fastest of N passes).
     let pairs = endpoints(&q19_network().1, packets.len());
     let triples: Vec<(&Packet, NodeId, NodeId)> =
         packets.iter().zip(&pairs).map(|(p, &(ig, eg))| (p, ig, eg)).collect();
@@ -247,63 +196,6 @@ fn main() {
         "batch and sequential delivery must emit equal report counts"
     );
     let delivery_speedup = batch_rate / seq_rate;
-
-    // The executor is bit-identical to deliver_batch by construction; the
-    // report-count equality below is the smoke-level check of that claim.
-    let mut scaling: Vec<ScalingEntry> = Vec::new();
-    for &(threads, oversubscribed) in &counts {
-        let (mut net, _) = q19_network();
-        let (rate, reports) = best_rate(triples.len(), delivery_reps, || {
-            net.deliver_batch_parallel(&triples, threads).reports.len()
-        });
-        assert_eq!(
-            reports, batch_reports,
-            "parallel delivery at {threads} threads must emit equal report counts"
-        );
-        scaling.push(ScalingEntry { threads, rate, oversubscribed });
-    }
-    // --- Metrics-enabled delivery: the same executor with a live
-    // `PoolMetrics` attached. The handles are relaxed atomics updated once
-    // per *batch* (never per packet), so the rate must stay within 2% of
-    // the plain executor at the same thread count (smoke: 15%) — the
-    // "observability is free enough to leave on" contract.
-    let metrics_threads =
-        counts.iter().filter(|&&(_, over)| !over).map(|&(t, _)| t).max().unwrap_or(1);
-    let measure_with_metrics = || {
-        let (mut net, _) = q19_network();
-        let registry = MetricsRegistry::new();
-        net.set_metrics(Some(PoolMetrics::register(&registry)));
-        let out = best_rate(triples.len(), delivery_reps, || {
-            net.deliver_batch_parallel(&triples, metrics_threads).reports.len()
-        });
-        (out, registry)
-    };
-    let ((metrics_rate, metrics_reports), metrics_registry) = measure_with_metrics();
-    assert_eq!(
-        metrics_reports, batch_reports,
-        "metrics-observed delivery must emit equal report counts"
-    );
-    if metrics_threads > 1 {
-        // threads <= 1 short-circuits to the sequential walk, which the
-        // executor profile (and thus the metrics family) documents as
-        // unobserved; with real workers the counters must have moved.
-        assert!(
-            metrics_registry.value("executor_batches_total").unwrap_or(0) > 0,
-            "PoolMetrics must observe executor batches during the measurement"
-        );
-    }
-
-    // `None` when every measured thread count oversubscribes the machine
-    // (only possible via a NEWTON_BENCH_THREADS override) — the headline
-    // parallel speedup is then meaningless and its bar is skipped.
-    let par_rate: Option<f64> = scaling
-        .iter()
-        .filter(|e| !e.oversubscribed)
-        .map(|e| e.rate)
-        .fold(None, |best: Option<f64>, r| Some(best.map_or(r, |b| b.max(r))));
-    let par_speedup = par_rate.map(|r| r / batch_rate);
-    let par1_rate = scaling.iter().find(|e| e.threads == 1).map(|e| e.rate);
-    let par1_speedup = par1_rate.map(|r| r / batch_rate);
 
     let mut rows = vec![
         vec!["Switch::process_reference".into(), fmt_rate(ref_rate), "1.00x".into()],
@@ -324,7 +216,7 @@ fn main() {
         ],
     ];
     for &(lanes, rate) in &batch_sweep {
-        let tag = if lanes == DEFAULT_BATCH_LANES { ", default" } else { "" };
+        let tag = if lanes == GATED_BATCH_LANES { ", gated" } else { "" };
         rows.push(vec![
             format!("Switch::process_batch ({lanes} lanes{tag})"),
             fmt_rate(rate),
@@ -338,19 +230,6 @@ fn main() {
             fmt_rate(batch_rate),
             format!("{delivery_speedup:.2}x"),
         ],
-    ]);
-    for e in &scaling {
-        let label = if e.oversubscribed {
-            format!("deliver_batch_parallel ({}t, oversubscribed)", e.threads)
-        } else {
-            format!("deliver_batch_parallel ({}t)", e.threads)
-        };
-        rows.push(vec![label, fmt_rate(e.rate), format!("{:.2}x", e.rate / batch_rate)]);
-    }
-    rows.push(vec![
-        format!("deliver_batch_parallel ({metrics_threads}t, metrics on)"),
-        fmt_rate(metrics_rate),
-        format!("{:.2}x", metrics_rate / batch_rate),
     ]);
     print_table(
         "Pipeline & delivery throughput (Q1–Q9 workload)",
@@ -416,7 +295,7 @@ fn main() {
     // smoke loosens it further (the tiny trace under-fills batches) and
     // both modes re-measure once before failing, like the other gates.
     let batch_floor = if smoke { 0.85 } else { 0.98 };
-    let mut batch_ratio = batch_rate_default / plan_rate;
+    let mut batch_ratio = batch_rate_gated / plan_rate;
     if batch_ratio < batch_floor {
         println!(
             "note: batch-path gate at {batch_ratio:.3}x on first measurement, re-measuring once"
@@ -425,173 +304,33 @@ fn main() {
         let (plan2, _) = best_rate(packets.len(), pipeline_reps, || {
             packets.iter().map(|p| sw.process(p, None).reports.len()).sum()
         });
-        let (batch2, _) = measure_batched(DEFAULT_BATCH_LANES);
+        let (batch2, _) = measure_batched(GATED_BATCH_LANES);
         batch_ratio = batch_ratio.max(batch2 / plan2);
     }
     assert!(
         batch_ratio >= batch_floor,
-        "acceptance: the batched pipeline at {DEFAULT_BATCH_LANES} lanes must not \
+        "acceptance: the batched pipeline at {GATED_BATCH_LANES} lanes must not \
          regress below {batch_floor}x the per-packet path (got {batch_ratio:.3}x)"
     );
-    // Metrics-overhead gate: attaching a registry must not slow the
-    // executor measurably. Same re-measure-once discipline as the other
-    // wall-clock gates — only a reproducible gap fails the job.
-    let metrics_floor = if smoke { 0.85 } else { 0.98 };
-    let metrics_base = scaling
-        .iter()
-        .find(|e| e.threads == metrics_threads)
-        .map(|e| e.rate)
-        .expect("metrics_threads comes from the measured set");
-    let mut metrics_ratio = metrics_rate / metrics_base;
-    if metrics_ratio < metrics_floor {
-        println!(
-            "note: metrics gate at {metrics_ratio:.3}x on first measurement, re-measuring once"
-        );
-        let (mut net, _) = q19_network();
-        let (base2, _) = best_rate(triples.len(), delivery_reps, || {
-            net.deliver_batch_parallel(&triples, metrics_threads).reports.len()
-        });
-        let ((m2, _), _) = measure_with_metrics();
-        metrics_ratio = metrics_ratio.max(m2 / base2);
-    }
-    assert!(
-        metrics_ratio >= metrics_floor,
-        "acceptance: the metrics-observed executor must stay within 2% of the plain \
-         executor (smoke: 15%) — got {metrics_ratio:.3}x"
-    );
-    // The 1-worker parallel path dispatches to the plain per-packet walk
-    // (`deliver_batch_sequential`), not the batch engine: on one core the
-    // engine's queue/flight-slot machinery costs more than its stage-major
-    // locality buys (see `delivery_note` in the JSON). So the 1-worker rate
-    // must stay within 10% of *both* references — `deliver_batch` (the
-    // engine it used to dispatch to; losing to it would mean the dispatch
-    // decision is wrong on this machine) and sequential `deliver` (the walk
-    // it now shares, where a gap means per-batch overhead crept in). Smoke
-    // runs on shared CI runners, where a noisy neighbor can skew even a
-    // fastest-of-N comparison: re-measure both sides once before failing,
-    // so only a *reproducible* gap fails the job.
-    if let Some(s1) = par1_speedup {
-        let mut s1_batch = s1;
-        let mut s1_seq = par1_rate.expect("par1_speedup implies par1_rate") / seq_rate;
-        if smoke && (s1_batch < 0.9 || s1_seq < 0.9) {
-            println!(
-                "note: 1-worker gate at {s1_batch:.2}x batch / {s1_seq:.2}x seq on first \
-                 measurement, re-measuring once"
-            );
-            let (mut net, _) = q19_network();
-            let (b2, _) = best_rate(triples.len(), delivery_reps, || {
-                net.deliver_batch(&triples).reports.len()
-            });
-            let (mut net, _) = q19_network();
-            let (q2, _) = best_rate(triples.len(), delivery_reps, || {
-                triples.iter().map(|&(p, ig, eg)| net.deliver(p, ig, eg).reports.len()).sum()
-            });
-            let (mut net, _) = q19_network();
-            let (p2, _) = best_rate(triples.len(), delivery_reps, || {
-                net.deliver_batch_parallel(&triples, 1).reports.len()
-            });
-            s1_batch = s1_batch.max(p2 / b2);
-            s1_seq = s1_seq.max(p2 / q2);
-        }
-        assert!(
-            s1_batch >= 0.9,
-            "acceptance: parallel delivery at 1 worker must stay within 10% of \
-             deliver_batch (got {s1_batch:.2}x)"
-        );
-        assert!(
-            s1_seq >= 0.9,
-            "acceptance: parallel delivery at 1 worker must stay within 10% of \
-             sequential deliver (got {s1_seq:.2}x)"
-        );
-    }
-    // Scaling must not go backwards as real cores are added.
-    let scaling_floor = if smoke { 0.8 } else { 0.9 };
-    let measured: Vec<&ScalingEntry> = scaling.iter().filter(|e| !e.oversubscribed).collect();
-    for pair in measured.windows(2) {
-        assert!(
-            pair[1].rate >= pair[0].rate * scaling_floor,
-            "acceptance: thread scaling regressed from {}t ({}) to {}t ({})",
-            pair[0].threads,
-            fmt_rate(pair[0].rate),
-            pair[1].threads,
-            fmt_rate(pair[1].rate),
-        );
-    }
-    // On a single-core machine the scaling series degenerates to the
-    // 1-thread entry (plus oversubscribed bit-checks): say so explicitly,
-    // here and in the JSON, so nobody reads a flat series as a regression.
-    let scaling_degenerate = scaling.iter().filter(|e| !e.oversubscribed).count() <= 1;
-    if scaling_degenerate {
-        println!(
-            "note: thread_scaling has only the 1-core entry ({cores} core(s) available); \
-             multi-core scaling was not measured on this machine"
-        );
-    }
-    // The parallel speedup bar only means something with real cores under
-    // it; single-core machines still run the equality checks above.
-    if cores < 4 {
-        println!("note: {cores} core(s) available, skipping the >=2x parallel speedup bar");
-    } else if let Some(s) = par_speedup {
-        assert!(
-            s >= 2.0,
-            "acceptance: parallel delivery must be >= 2x batch on {cores} cores (got {s:.2}x)"
-        );
-    } else {
-        println!(
-            "note: every NEWTON_BENCH_THREADS count oversubscribes the {cores} cores, \
-             skipping the >=2x parallel speedup bar"
-        );
-    }
-
     if smoke {
-        println!("\nsmoke mode: equality + speedup gates passed, skipping BENCH_perf.json");
+        println!("\nsmoke mode: equality + perf gates passed, skipping BENCH_perf.json");
         return;
     }
 
-    let scaling_json = scaling
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{ \"threads\": {}, \"pkts_per_sec\": {:.0}, \"speedup_vs_batch\": {:.3}, \
-                 \"oversubscribed\": {} }}",
-                e.threads,
-                e.rate,
-                e.rate / batch_rate,
-                e.oversubscribed,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    // `null` when no non-oversubscribed thread count was measured (a
-    // NEWTON_BENCH_THREADS override) — better absent than oversubscription
-    // noise published as a headline rate.
-    let par_rate_json = par_rate.map_or_else(|| "null".into(), |r| format!("{r:.0}"));
-    let par_speedup_json = par_speedup.map_or_else(|| "null".into(), |s| format!("{s:.3}"));
     let sweep_json = batch_sweep
         .iter()
         .map(|&(lanes, rate)| format!("    {{ \"lanes\": {lanes}, \"pkts_per_sec\": {rate:.0} }}"))
         .collect::<Vec<_>>()
         .join(",\n");
-    let scaling_note_json = if scaling_degenerate {
-        format!(
-            ",\n  \"thread_scaling_note\": \"only the 1-core entry was measured \
-             ({cores} core(s) available); multi-core scaling not measured on this machine\""
-        )
-    } else {
-        String::new()
-    };
     let json = format!(
         "{{\n  \"workload\": \"Q1-Q9, CAIDA-like trace, {} packets\",\n  \
          \"timing\": \"fastest of {delivery_reps} passes after 1 warm-up pass\",\n  \
          \"pipeline_reference_pkts_per_sec\": {ref_rate:.0},\n  \
          \"pipeline_execplan_pkts_per_sec\": {plan_rate:.0},\n  \
          \"pipeline_speedup\": {pipeline_speedup:.3},\n  \
-         \"pipeline_batch_pkts_per_sec\": {batch_rate_default:.0},\n  \
+         \"pipeline_batch_pkts_per_sec\": {batch_rate_gated:.0},\n  \
          \"pipeline_batch_speedup_vs_execplan\": {batch_ratio:.3},\n  \
-         \"default_batch_lanes\": {DEFAULT_BATCH_LANES},\n  \
-         \"batch_lanes_rationale\": \"sweep is flat within noise from 32 lanes up (the \
-         walk is compute-bound on an L1-resident working set); 64 amortizes per-call \
-         overhead fully while keeping per-switch scratch small\",\n  \
+         \"gated_batch_lanes\": {GATED_BATCH_LANES},\n  \
          \"batch_note\": \"process() shares the batch engine at batch size 1, so the \
          per-packet path already carries the engine speedup; the batch call's edge is \
          amortized per-call overhead only (~5-10%)\",\n  \
@@ -601,22 +340,10 @@ fn main() {
          \"delivery_sequential_pkts_per_sec\": {seq_rate:.0},\n  \
          \"delivery_batch_pkts_per_sec\": {batch_rate:.0},\n  \
          \"delivery_speedup\": {delivery_speedup:.3},\n  \
-         \"delivery_note\": \"delivery_speedup compares the single-worker batch engine \
-         against sequential deliver and lands below 1.0 on single-core machines: the \
-         engine's per-switch queues, flight slots and report re-sort cost ~15-20% there, \
-         more than its stage-major locality buys without a second core. That is expected \
-         and documented, not a regression: deliver_batch_parallel dispatches threads<=1 \
-         to the plain per-packet walk (bit-identical by contract), so no caller pays the \
-         coordination cost single-threaded — the thread_scaling 1t entry is the rate \
-         callers actually get\",\n  \
-         \"delivery_parallel_pkts_per_sec\": {par_rate_json},\n  \
-         \"delivery_parallel_speedup\": {par_speedup_json},\n  \
-         \"pipeline_metrics_pkts_per_sec\": {metrics_rate:.0},\n  \
-         \"pipeline_metrics_threads\": {metrics_threads},\n  \
-         \"pipeline_metrics_ratio_vs_plain\": {metrics_ratio:.3},\n  \
+         \"delivery_note\": \"deliver_batch is per-packet deliver over the batch minus \
+         per-call allocations; delivery_speedup measures only that saving\",\n  \
          \"peak_rss_bytes\": {},\n  \
-         \"benched_on_cores\": {cores}{scaling_note_json},\n  \
-         \"thread_scaling\": [\n{scaling_json}\n  ]\n}}\n",
+         \"benched_on_cores\": {cores}\n}}\n",
         packets.len(),
         peak_rss_json(),
     );

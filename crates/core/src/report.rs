@@ -16,15 +16,15 @@ use std::path::PathBuf;
 pub struct ReportOptions {
     /// `--report`: render the per-epoch time-series table.
     pub table: bool,
-    /// `--json PATH`: write the telemetry journal (JSONL) and executor
-    /// profile to `PATH`. Implies attaching a recorder before the run.
+    /// `--json PATH`: write the telemetry journal (JSONL) to `PATH`.
+    /// Implies attaching a recorder before the run.
     pub json: Option<PathBuf>,
 }
 
 impl ReportOptions {
     /// Scan the process command line for `--report` and `--json PATH`.
     /// Unknown flags are ignored (examples parse their own, e.g.
-    /// `--threads`).
+    /// `--stream`).
     pub fn from_args() -> Self {
         let mut opts = ReportOptions::default();
         let mut args = std::env::args().skip(1);
@@ -97,8 +97,7 @@ pub fn render_queries(report: &RunReport) -> String {
 }
 
 /// Print the selected outputs and, when `--json` asked for it, drain the
-/// system's recorder to a JSONL journal file (the deterministic journal
-/// first, then the explicitly nondeterministic profile as the final line).
+/// system's recorder to a JSONL journal file.
 pub fn emit(sys: &mut NewtonSystem, report: &RunReport, opts: &ReportOptions) {
     if opts.table {
         print!("{}", render_epochs(report));
@@ -109,10 +108,7 @@ pub fn emit(sys: &mut NewtonSystem, report: &RunReport, opts: &ReportOptions) {
             eprintln!("--json: no recorder attached, journal is empty");
             return;
         };
-        let mut out = rec.journal.to_jsonl();
-        out.push_str(&rec.profile.to_json());
-        out.push('\n');
-        std::fs::write(path, out).expect("write --json journal");
+        std::fs::write(path, rec.journal.to_jsonl()).expect("write --json journal");
         println!("telemetry journal written to {}", path.display());
     }
 }

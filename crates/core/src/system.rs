@@ -16,7 +16,7 @@ use newton_compiler::CompilerConfig;
 use newton_controller::{Controller, InstallReceipt, RepairOutcome};
 use newton_dataplane::{BankStats, PipelineConfig, QueryId};
 use newton_metrics::{Counter, Histogram, MetricsRegistry};
-use newton_net::{LinkKey, LinkLoad, Network, NodeId, Parallelism, PoolMetrics, Topology};
+use newton_net::{LinkKey, LinkLoad, Network, NodeId, Parallelism, Topology};
 use newton_packet::FieldVector;
 use newton_packet::Packet;
 use newton_query::ast::Primitive;
@@ -220,11 +220,8 @@ pub struct NewtonSystem {
     degraded_ids: FastSet<QueryId>,
     /// Whether scheduled events trigger the controller's repair loop.
     repair_enabled: bool,
-    /// Thread budget of the epoch executor (delivery + epoch reset).
-    parallelism: Parallelism,
     /// Telemetry sink: `None` (the default) costs nothing; a [`Recorder`]
-    /// journals deterministic per-epoch events plus a nondeterministic
-    /// executor profile.
+    /// journals deterministic per-epoch events.
     recorder: Option<Recorder>,
     /// Global packet index to journal a full execution trace for
     /// (the `NEWTON_TRACE_PACKET` hook).
@@ -242,10 +239,6 @@ pub struct NewtonSystem {
     /// path; see [`NewtonSystem::enable_metrics`]).
     metrics: Option<SystemMetrics>,
 }
-
-/// Epoch batches below this size run sequentially even when more threads
-/// are configured: spawning workers costs more than the delivery itself.
-const PAR_BATCH_MIN: usize = 256;
 
 impl NewtonSystem {
     /// Build a system over `topo` with default pipelines and compiler.
@@ -284,7 +277,6 @@ impl NewtonSystem {
             degraded: HashMap::new(),
             degraded_ids: FastSet::default(),
             repair_enabled: true,
-            parallelism: Parallelism::default(),
             recorder: None,
             trace_packet_idx: std::env::var("NEWTON_TRACE_PACKET")
                 .ok()
@@ -297,9 +289,9 @@ impl NewtonSystem {
     }
 
     /// Attach a live [`MetricsRegistry`]: control-plane operations time
-    /// themselves into `controller_*_ns` histograms, the executor pool
-    /// feeds the `executor_*` family, streamed replays feed `stream_*`,
-    /// and the controller's cache/channel stats mirror into counters.
+    /// themselves into `controller_*_ns` histograms, streamed replays feed
+    /// `stream_*`, and the controller's cache/channel stats mirror into
+    /// counters.
     ///
     /// Metrics are wall-clock observations and therefore live strictly
     /// outside the telemetry journal: enabling them never changes a byte
@@ -307,7 +299,6 @@ impl NewtonSystem {
     /// attached every instrument is a no-op handle — one pointer test on
     /// the slow (per-op, per-batch) paths, nothing on the per-packet path.
     pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
-        self.net.set_metrics(Some(PoolMetrics::register(registry)));
         self.metrics = Some(SystemMetrics::register(registry));
     }
 
@@ -328,8 +319,8 @@ impl NewtonSystem {
         self.recorder.as_ref()
     }
 
-    /// Detach and return the recorder (journal + profile), leaving the
-    /// system telemetry-free again.
+    /// Detach and return the recorder, leaving the system telemetry-free
+    /// again.
     pub fn take_recorder(&mut self) -> Option<Recorder> {
         self.recorder.take()
     }
@@ -360,24 +351,10 @@ impl NewtonSystem {
         self.mapping = mapping;
     }
 
-    /// Set the epoch executor's thread budget (`Parallelism::sequential()`
-    /// restores the single-threaded path). Output is bit-identical at any
-    /// setting; only wall-clock changes.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The configured thread budget.
+    /// Delivery's thread budget: always one thread. Its only caller is
+    /// `perfbench/`.
     pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Set the delivery engine's packets-per-batch budget — how many
-    /// queued packets a switch pipeline executes per batched call.
-    /// Output is bit-identical at any setting (the journal byte-identity
-    /// tests pin this); only throughput changes.
-    pub fn set_batch_lanes(&mut self, lanes: usize) {
-        self.net.set_batch_lanes(lanes);
+        Parallelism { threads: 1 }
     }
 
     /// Keep only the trailing `cap` entries of [`RunReport::epochs`]
@@ -388,20 +365,6 @@ impl NewtonSystem {
     /// the cumulative totals are unaffected.
     pub fn set_epoch_retention(&mut self, cap: Option<usize>) {
         self.epoch_retention = cap;
-    }
-
-    /// Threads to use for a delivery batch of `len` packets.
-    fn batch_threads(&self, len: usize) -> usize {
-        if len < PAR_BATCH_MIN {
-            return 1;
-        }
-        // Workers beyond the machine's cores cannot speed anything up and
-        // actively slow the executor down (they time-slice against the
-        // peers they wait on), so the configured budget is capped at the
-        // effective parallelism. When the cap leaves a single worker —
-        // every single-core host — `deliver_batch_parallel` short-circuits
-        // to the plain batched path and pays zero parallel overhead.
-        self.parallelism.threads.min(newton_net::effective_parallelism())
     }
 
     /// The underlying network (failure injection, inspection).
@@ -608,10 +571,10 @@ impl NewtonSystem {
     /// segment size)` — independent of the stream length. The run is
     /// byte-identical (reports and telemetry journal) to
     /// [`run_trace`](Self::run_trace) over
-    /// [`StreamConfig::materialize`]'s trace, at every thread count and
-    /// pool shape: the driver below is the same code for both, and segment
-    /// boundaries only add extra delivery-batch flushes, which the batched
-    /// executor's sequential-equivalence contract makes invisible.
+    /// [`StreamConfig::materialize`]'s trace, at every pool shape: the
+    /// driver below is the same code for both, and segment boundaries only
+    /// add extra delivery-batch flushes, which are invisible because
+    /// [`Network::deliver_batch`] is per-packet delivery in order.
     pub fn run_stream(
         &mut self,
         cfg: &StreamConfig,
@@ -652,23 +615,14 @@ impl NewtonSystem {
         self.end_run(cur, events)
     }
 
-    /// Set up a run of the packet-driven epoch driver: batch scratch
-    /// sizing, degraded-set reset, and a fresh [`RunCursor`]. The driver
+    /// Set up a run of the packet-driven epoch driver: degraded-set reset
+    /// and a fresh [`RunCursor`]. The driver
     /// is `begin_run` → [`ingest_slice`](Self::ingest_slice) (any number
     /// of timestamp-ordered slices) → [`end_run`](Self::end_run); epoch
     /// boundaries are detected per packet from its timestamp window, so
     /// materialized traces and streamed segments share every line of the
     /// loop.
     fn begin_run(&mut self, epoch_ms: u64) -> RunCursor {
-        // Size every switch's batch scratch up front: the delivery engine
-        // hands at most `batch_lanes` packets per pipeline call, and lane
-        // expansion rarely exceeds two live query slices per packet. The
-        // scratch is recycled (cleared, never shrunk) across batches and
-        // epochs, so this is the only growth the hot path should see.
-        let lanes = self.net.batch_lanes();
-        for s in 0..self.net.switch_count() {
-            self.net.switch_mut(s).reserve_batch(lanes, lanes * 2);
-        }
         self.degraded.clear();
         self.degraded_ids.clear();
         self.current_epoch = 0;
@@ -691,8 +645,7 @@ impl NewtonSystem {
     /// is local to the slice (its `&Packet` borrows must end before a
     /// streamed segment's buffer is recycled) and is flushed on exit; a
     /// segment boundary mid-epoch therefore only splits a delivery batch,
-    /// which the executor's sequential-equivalence contract guarantees is
-    /// unobservable.
+    /// which is unobservable.
     fn ingest_slice(
         &mut self,
         pkts: &[Packet],
@@ -851,7 +804,7 @@ impl NewtonSystem {
             }
         }
         cur.report.epochs.push(ep);
-        self.net.clear_state_parallel(self.parallelism.threads);
+        self.net.clear_state();
     }
 
     /// Close the final epoch, drain the event schedule past the trace end
@@ -865,18 +818,14 @@ impl NewtonSystem {
         cur.report.messages = cur.meter.messages();
         cur.report.packets = cur.meter.raw_packets();
         cur.report.unrouted = cur.meter.unrouted_packets();
-        if let Some(rec) = self.recorder.as_mut() {
-            let prof = self.net.take_parallel_profile();
-            rec.profile.merge(&prof);
-        }
         cur.report
     }
 
     /// Journal the epoch-boundary telemetry: the epoch summary, then each
     /// switch's state-bank counters and occupied stage gauges (switch-id
     /// order), then the epoch's per-link load deltas (canonical link
-    /// order). Every value derives from modeled state that is identical at
-    /// any executor thread count, so the journal stays byte-identical.
+    /// order). Every value derives from modeled state, so the journal is
+    /// byte-identical from run to run.
     fn emit_epoch_telemetry(
         &mut self,
         ep: &EpochReport,
@@ -949,8 +898,7 @@ impl NewtonSystem {
         report: &mut RunReport,
         meter: &mut OverheadMeter,
     ) {
-        let threads = self.batch_threads(batch.len());
-        let out = self.net.deliver_batch_parallel(batch, threads);
+        let out = self.net.deliver_batch(batch);
         batch.clear();
         report.snapshot_bytes += out.snapshot_bytes as u64;
         meter.unrouted(out.unrouted as u64);
@@ -1149,20 +1097,6 @@ mod tests {
         let report = sys.run_trace(&trace, 100);
         let keys = report.reported.get(&receipt.id).cloned().unwrap_or_default();
         assert!(keys.contains(&(silent as u64)), "silent DNS host not flagged: {keys:?}");
-    }
-
-    #[test]
-    fn batch_threads_clamps_to_cores_and_small_batches_stay_sequential() {
-        let mut sys = NewtonSystem::new(Topology::chain(2));
-        sys.set_parallelism(Parallelism::new(4096));
-        assert_eq!(sys.batch_threads(PAR_BATCH_MIN - 1), 1, "small batches run sequentially");
-        let t = sys.batch_threads(PAR_BATCH_MIN);
-        assert!(
-            t <= newton_net::effective_parallelism(),
-            "budget {t} must be capped at the core count"
-        );
-        sys.set_parallelism(Parallelism::sequential());
-        assert_eq!(sys.batch_threads(1 << 20), 1, "threads=1 is always the sequential path");
     }
 
     #[test]

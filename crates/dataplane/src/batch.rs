@@ -5,9 +5,8 @@
 //! structs: the per-lane state a module touches — one metadata-set pair,
 //! one global result, one activity mask — is a single packed
 //! `LaneState`, so a kernel reads one cache line per lane and the
-//! stage-entry freeze is one contiguous copy. The walk order over lanes
-//! is the configured `BatchSchedule` (per-lane sequential by default,
-//! stage-major optionally).
+//! stage-entry freeze is one contiguous copy. Lanes are walked one at a
+//! time, each straight through its compiled run list.
 //!
 //! Lane liveness is the activity mask itself (`cur[l].active == 0` ⇔ the
 //! lane is dead); a dead lane is skipped at stage boundaries exactly like
@@ -23,14 +22,6 @@
 use crate::phv::{MetadataSet, Report, GLOBAL_INIT};
 use crate::rules::QueryId;
 use newton_packet::{FieldVector, SnapshotHeader};
-
-/// Default packets-per-batch handed to
-/// [`Switch::process_batch`](crate::Switch::process_batch) by the network
-/// layer. Chosen by the `--bench perf` batch-size sweep: the sweep is flat
-/// within noise from 32 lanes up (the walk is compute-bound on an
-/// L1-resident working set), so 64 amortizes the per-call overhead fully
-/// while keeping per-switch scratch small.
-pub const DEFAULT_BATCH_LANES: usize = 64;
 
 /// Branch test identical to [`Phv::branch_active`](crate::Phv): same shift
 /// expression, so debug-overflow and release-masking behaviour match the

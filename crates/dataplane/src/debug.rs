@@ -52,38 +52,39 @@ impl fmt::Display for ExecutionTrace {
     }
 }
 
-/// Trace one packet through a (cloned) switch: every module firing for
-/// every query the packet matches. The real switch is untouched.
+/// Trace one packet through a (cloned) switch: every module firing of the
+/// walk [`Switch::process`] would run for a fresh (snapshot-less) packet.
+/// The real switch is untouched.
 pub fn trace_packet(switch: &Switch, pkt: &Packet) -> Vec<ExecutionTrace> {
     // Work on a clone: tracing must not consume epoch state.
     let mut shadow = switch.clone();
-    let before: Vec<Phv> = shadow.debug_walk_prepare(pkt);
-    let mut traces = Vec::new();
-    for phv in before {
-        traces.push(shadow.debug_walk(phv));
-    }
-    traces
+    let walks = shadow.debug_walk_prepare(pkt);
+    walks.into_iter().map(|(phv, stages)| shadow.debug_walk(phv, stages)).collect()
 }
 
 impl Switch {
-    /// Build the initial PHVs `process` would walk for this packet
-    /// (slice 0 dispatch only — tracing is a single-switch view).
-    pub(crate) fn debug_walk_prepare(&self, pkt: &Packet) -> Vec<Phv> {
+    /// The initial PHVs `process` would walk for this packet, each with
+    /// the stage range of its query's slice 0. A classified query this
+    /// switch holds no slice 0 of is skipped, exactly as `process` skips
+    /// it (slice-0 dispatch only — tracing is a single-switch view).
+    pub(crate) fn debug_walk_prepare(&self, pkt: &Packet) -> Vec<(Phv, (usize, usize))> {
         self.classify_for_debug(pkt)
             .into_iter()
-            .map(|(query, mask)| {
+            .filter_map(|(query, mask)| {
+                let info = self.slices_of(query).into_iter().find(|i| i.index == 0)?;
                 let mut phv = Phv::new(pkt, query, 0);
                 phv.active_branches = mask;
-                phv
+                Some((phv, info.stages))
             })
             .collect()
     }
 
-    /// Walk one PHV recording per-stage diffs.
-    pub(crate) fn debug_walk(&mut self, mut phv: Phv) -> ExecutionTrace {
+    /// Walk one PHV over the stage range `[lo, hi)`, recording per-stage
+    /// diffs.
+    pub(crate) fn debug_walk(&mut self, mut phv: Phv, (lo, hi): (usize, usize)) -> ExecutionTrace {
         let mut trace = ExecutionTrace { query: phv.query, ..Default::default() };
-        let stages = self.stage_count_for_debug();
-        for stage in 0..stages {
+        let hi = hi.min(self.stage_count_for_debug());
+        for stage in lo.min(hi)..hi {
             if !phv.any_active() {
                 break;
             }
@@ -219,6 +220,42 @@ mod tests {
         assert!(sw.process(&pkt, None).reports.is_empty(), "first real packet: count 1 < 2");
         let out = sw.process(&pkt, None);
         assert_eq!(out.reports.len(), 1, "second real packet crosses");
+    }
+
+    #[test]
+    fn trace_follows_the_slice_zero_stage_range() {
+        // One switch holds slice 0 (stages 0–1) and slice 1 (stages 2–3)
+        // of one query. A fresh SYN dispatches slice 0 only: K and H fire,
+        // no register moves, and a cursor-1 snapshot leaves for the next
+        // switch. The trace must show that walk, not all four stages.
+        use crate::switch::SliceInfo;
+        let slice = |index: u8, stages: (usize, usize)| SliceInfo {
+            index,
+            total: 2,
+            capture_set: SetId::Set1,
+            restore_set: SetId::Set1,
+            stages,
+        };
+        let mut sw = q1_switch();
+        sw.set_slice(1, slice(0, (0, 2))).unwrap();
+        sw.add_slice(1, slice(1, (2, 4))).unwrap();
+        let pkt = PacketBuilder::new().dst_ip(9).tcp_flags(TcpFlags::SYN).build();
+
+        let traces = trace_packet(&sw, &pkt);
+        assert_eq!(traces.len(), 1);
+        let kinds: Vec<char> = traces[0].firings.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, vec!['K', 'H'], "only slice 0's stages run");
+
+        let out = sw.process(&pkt, None);
+        assert_eq!(out.snapshot.map(|sp| sp.cursor), Some(1), "slice 1 runs downstream");
+        assert_eq!(sw.take_bank_stats(), crate::BankStats::default(), "no register touched");
+
+        // Holding only a later slice, the switch dispatches nothing for a
+        // fresh packet, and the trace agrees.
+        let mut later_only = q1_switch();
+        later_only.set_slice(1, slice(1, (2, 4))).unwrap();
+        assert!(trace_packet(&later_only, &pkt).is_empty());
+        assert_eq!(later_only.process(&pkt, None).snapshot, None);
     }
 
     #[test]

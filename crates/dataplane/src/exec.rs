@@ -272,19 +272,6 @@ pub struct ExecScratch {
     pub(crate) classify: Vec<(QueryId, u32)>,
     /// The SoA lane columns the batch walks.
     pub(crate) batch: PhvBatch,
-    /// Per-lane `(cursor, end)` span into the plan's pooled stage runs.
-    pub(crate) run_span: Vec<(u32, u32)>,
-    /// Stage-indexed lane queues: `stage_q[s]` holds the lanes whose next
-    /// run sits in stage `s`, so the walk schedules in O(total runs)
-    /// instead of rescanning every lane per stage.
-    pub(crate) stage_q: Vec<Vec<u32>>,
-    /// The lane list of the stage currently executing (swapped out of
-    /// [`stage_q`](Self::stage_q) to keep borrows disjoint).
-    pub(crate) cur_lanes: Vec<u32>,
-    /// Per-slot `(lane, rlo, rhi)` buckets of the current stage: draining
-    /// slot-ascending with lanes in lane order reproduces the scalar
-    /// path's per-instance operation order exactly.
-    pub(crate) buckets: Vec<Vec<(u32, u32, u32)>>,
 }
 
 impl ExecScratch {

@@ -30,9 +30,8 @@
 //! * [`exec`] — the configuration/execution split: rule operations compile
 //!   a flattened, immutable [`exec::ExecPlan`]; the per-packet path only
 //!   walks it, allocation-free, against a reusable [`exec::ExecScratch`].
-//! * [`batch`] — the batch-first hot path: packets expand into SoA PHV
-//!   lanes ([`batch::PhvBatch`]) and each stage's module instances run
-//!   across all live lanes before the pipeline advances
+//! * [`batch`] — the hot path's lane columns: packets expand into SoA PHV
+//!   lanes ([`batch::PhvBatch`]) that each walk their compiled run list
 //!   ([`Switch::process_batch`](switch::Switch::process_batch)).
 
 pub mod batch;
@@ -47,7 +46,7 @@ pub mod resources;
 pub mod rules;
 pub mod switch;
 
-pub use batch::{BatchOutput, DEFAULT_BATCH_LANES};
+pub use batch::BatchOutput;
 pub use exec::{ExecPlan, ExecScratch};
 pub use init::InitTable;
 pub use layout::{Layout, LayoutKind, ModuleAddr, ModuleKind};
@@ -59,5 +58,5 @@ pub use rules::{
     SaluOp,
 };
 pub use switch::{
-    BatchSchedule, PipelineConfig, PipelineOutput, SliceInfo, StageUtilization, Switch, SwitchError,
+    PipelineConfig, PipelineOutput, SliceInfo, StageUtilization, Switch, SwitchError,
 };

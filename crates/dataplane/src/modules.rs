@@ -13,11 +13,6 @@ use crate::rules::{HRule, HashMode, KRule, Operand, QueryId, RAction, RRule, SRu
 use newton_packet::FieldVector;
 use newton_sketch::HashFn;
 
-/// One batched op: the lane to execute plus its pre-resolved rule-table
-/// indices. Modules run all lanes of a stage bucket back-to-back, so the
-/// rule table is read hot across the whole batch.
-pub(crate) type BatchOp<'a> = (u32, &'a [u32]);
-
 /// Default rule capacity per module instance ("we configure each module to
 /// accommodate 256 rules", §6.2).
 pub const DEFAULT_RULE_CAPACITY: usize = 256;
@@ -180,26 +175,19 @@ impl KModule {
         }
     }
 
-    /// Execute the pre-resolved ops of one stage bucket across all lanes
-    /// (the compiled [`ExecPlan`](crate::ExecPlan) batch path): the plan
-    /// guarantees every rule index holds a rule of the lane's query, in
-    /// table order. Reads are against the frozen `entry_*` columns, writes
-    /// land in `cur_*` — identical stage semantics to
-    /// [`execute`](Self::execute).
-    pub(crate) fn execute_batch<'a>(
-        &self,
-        ops: impl Iterator<Item = BatchOp<'a>>,
-        b: &mut PhvBatch,
-    ) {
-        for (lane, idx) in ops {
-            let l = lane as usize;
-            let active = b.entry[l].active;
-            let fields = b.fields[b.lane_pkt[l] as usize];
-            for &i in idx {
-                let r = &self.rules[i as usize];
-                if lane_branch_active(active, r.branch) {
-                    b.cur[l].sets[r.set.index()].op_keys = fields.masked(r.mask).0;
-                }
+    /// Execute one lane's pre-resolved op (the compiled
+    /// [`ExecPlan`](crate::ExecPlan) path): the plan guarantees every rule
+    /// index in `idx` holds a rule of the lane's query, in table order.
+    /// Reads are against the lane's frozen `entry` state, writes land in
+    /// `cur` — identical stage semantics to [`execute`](Self::execute).
+    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
+        let l = lane as usize;
+        let active = b.entry[l].active;
+        let fields = b.fields[b.lane_pkt[l] as usize];
+        for &i in idx {
+            let r = &self.rules[i as usize];
+            if lane_branch_active(active, r.branch) {
+                b.cur[l].sets[r.set.index()].op_keys = fields.masked(r.mask).0;
             }
         }
     }
@@ -231,23 +219,16 @@ impl HModule {
         }
     }
 
-    /// Execute the pre-resolved ops of one stage bucket across all lanes
-    /// (compiled plan batch path).
-    pub(crate) fn execute_batch<'a>(
-        &self,
-        ops: impl Iterator<Item = BatchOp<'a>>,
-        b: &mut PhvBatch,
-    ) {
-        for (lane, idx) in ops {
-            let l = lane as usize;
-            let active = b.entry[l].active;
-            for &i in idx {
-                let r = &self.rules[i as usize];
-                if lane_branch_active(active, r.branch) {
-                    let keys = FieldVector(b.entry[l].sets[r.set.index()].op_keys);
-                    b.cur[l].sets[r.set.index()].hash_result =
-                        Self::hash_of(r, keys).wrapping_add(r.offset);
-                }
+    /// Execute one lane's pre-resolved op (compiled plan path).
+    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
+        let l = lane as usize;
+        let active = b.entry[l].active;
+        for &i in idx {
+            let r = &self.rules[i as usize];
+            if lane_branch_active(active, r.branch) {
+                let keys = FieldVector(b.entry[l].sets[r.set.index()].op_keys);
+                b.cur[l].sets[r.set.index()].hash_result =
+                    Self::hash_of(r, keys).wrapping_add(r.offset);
             }
         }
     }
@@ -342,28 +323,22 @@ impl SModule {
         }
     }
 
-    /// Execute the pre-resolved ops of one stage bucket across all lanes
-    /// (compiled plan batch path). Lanes are applied in lane order, so
-    /// each register sees operations in exactly the scalar per-packet
-    /// order — register contents and [`BankStats`] stay bit-identical.
-    pub(crate) fn execute_batch<'a>(
-        &mut self,
-        ops: impl Iterator<Item = BatchOp<'a>>,
-        b: &mut PhvBatch,
-    ) {
+    /// Execute one lane's pre-resolved op (compiled plan path). The
+    /// walk applies lanes in lane order, so each register sees operations
+    /// in exactly the per-packet order — register contents and
+    /// [`BankStats`] stay bit-identical to [`execute`](Self::execute).
+    pub(crate) fn execute_lane(&mut self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
         let SModule { rules, registers, stats, pow2_mask, .. } = self;
-        for (lane, idx) in ops {
-            let l = lane as usize;
-            let active = b.entry[l].active;
-            let fields = b.fields[b.lane_pkt[l] as usize];
-            for &i in idx {
-                let r = &rules[i as usize];
-                if lane_branch_active(active, r.branch) {
-                    let hash = b.entry[l].sets[r.set.index()].hash_result;
-                    let ridx = Self::reg_index(*pow2_mask, registers.len(), hash);
-                    let state = Self::salu(r, registers, stats, ridx, hash, fields);
-                    b.cur[l].sets[r.set.index()].state_result = state;
-                }
+        let l = lane as usize;
+        let active = b.entry[l].active;
+        let fields = b.fields[b.lane_pkt[l] as usize];
+        for &i in idx {
+            let r = &rules[i as usize];
+            if lane_branch_active(active, r.branch) {
+                let hash = b.entry[l].sets[r.set.index()].hash_result;
+                let ridx = Self::reg_index(*pow2_mask, registers.len(), hash);
+                let state = Self::salu(r, registers, stats, ridx, hash, fields);
+                b.cur[l].sets[r.set.index()].state_result = state;
             }
         }
     }
@@ -466,49 +441,42 @@ impl RModule {
         }
     }
 
-    /// Execute the pre-resolved ops of one stage bucket across all lanes
-    /// (compiled plan batch path). Same per-branch highest-priority
-    /// selection as [`execute`](Self::execute), tracked in the batch's
-    /// generation-tagged winner scratch: the PHV's branch mask is a `u32`,
-    /// so at most 32 branches can be active, and bumping the generation
-    /// replaces the 32-entry clear the scalar path paid per op.
-    pub(crate) fn execute_batch<'a>(
-        &self,
-        ops: impl Iterator<Item = BatchOp<'a>>,
-        b: &mut PhvBatch,
-    ) {
-        for (lane, idx) in ops {
-            let l = lane as usize;
-            let tag = b.r_next_gen();
-            let mut n = 0usize;
-            let active = b.entry[l].active;
-            for &i in idx {
-                let r = &self.rules[i as usize];
-                if !lane_branch_active(active, r.branch) {
-                    continue;
-                }
-                if !r.state_match.contains(b.entry[l].sets[r.set.index()].state_result)
-                    || !r.global_match.contains(b.entry[l].global)
-                {
-                    continue;
-                }
-                // Mirror `branch_active`'s release-mode shift masking so an
-                // out-of-range branch aliases the same mask bit it tests.
-                let bb = (r.branch & 31) as usize;
-                if b.r_tag[bb] != tag {
-                    b.r_tag[bb] = tag;
-                    b.r_best[bb] = i;
-                    b.r_order[n] = r.branch;
-                    n += 1;
-                } else if self.rules[b.r_best[bb] as usize].priority < r.priority {
-                    b.r_best[bb] = i;
-                }
+    /// Execute one lane's pre-resolved op (compiled plan path). Same
+    /// per-branch highest-priority selection as [`execute`](Self::execute),
+    /// tracked in the batch's generation-tagged winner scratch: the PHV's
+    /// branch mask is a `u32`, so at most 32 branches can be active, and
+    /// bumping the generation replaces a 32-entry clear per op.
+    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
+        let l = lane as usize;
+        let tag = b.r_next_gen();
+        let mut n = 0usize;
+        let active = b.entry[l].active;
+        for &i in idx {
+            let r = &self.rules[i as usize];
+            if !lane_branch_active(active, r.branch) {
+                continue;
             }
-            for k in 0..n {
-                let branch = b.r_order[k];
-                let rule = &self.rules[b.r_best[(branch & 31) as usize] as usize];
-                Self::fire_batch(rule, branch, l, b);
+            if !r.state_match.contains(b.entry[l].sets[r.set.index()].state_result)
+                || !r.global_match.contains(b.entry[l].global)
+            {
+                continue;
             }
+            // Mirror `branch_active`'s release-mode shift masking so an
+            // out-of-range branch aliases the same mask bit it tests.
+            let bb = (r.branch & 31) as usize;
+            if b.r_tag[bb] != tag {
+                b.r_tag[bb] = tag;
+                b.r_best[bb] = i;
+                b.r_order[n] = r.branch;
+                n += 1;
+            } else if self.rules[b.r_best[bb] as usize].priority < r.priority {
+                b.r_best[bb] = i;
+            }
+        }
+        for k in 0..n {
+            let branch = b.r_order[k];
+            let rule = &self.rules[b.r_best[(branch & 31) as usize] as usize];
+            Self::fire_batch(rule, branch, l, b);
         }
     }
 

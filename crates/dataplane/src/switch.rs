@@ -26,27 +26,6 @@ use newton_packet::{FieldVector, Packet, SnapshotHeader};
 use newton_sketch::FastMap;
 use newton_telemetry::{Event, NoopSink, Telemetry};
 
-/// Which scheduler drives the batched walk in
-/// [`Switch::process_batch`]. Both produce bit-identical results (see
-/// `walk_lanes_sequential`'s proof sketch); they differ only in memory
-/// access pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSchedule {
-    /// Walk each lane straight through its compiled run list, one lane at
-    /// a time. The default: with the pooled `ExecPlan` (~1KB for the
-    /// full catalog) and per-instance rule tables L1-resident, this wins
-    /// at every measured batch size — there is no cross-lane locality
-    /// left for a smarter schedule to harvest.
-    #[default]
-    Sequential,
-    /// Advance stage-major: each stage freezes its live lanes, buckets
-    /// their ops per slot, and runs each module instance once over its
-    /// whole bucket. Keeps an instance's rule table hot across the batch;
-    /// the regime where that pays is large installed rule sets whose
-    /// tables spill out of L1, not the evaluation catalog.
-    StageMajor,
-}
-
 /// Pipeline initialization parameters (the "P4 program" knobs).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
@@ -58,8 +37,6 @@ pub struct PipelineConfig {
     pub registers_per_array: usize,
     /// Rule capacity per module instance.
     pub rule_capacity: usize,
-    /// Scheduler for the batched walk.
-    pub batch_schedule: BatchSchedule,
 }
 
 impl Default for PipelineConfig {
@@ -69,7 +46,6 @@ impl Default for PipelineConfig {
             layout: LayoutKind::Compact,
             registers_per_array: 4096,
             rule_capacity: DEFAULT_RULE_CAPACITY,
-            batch_schedule: BatchSchedule::default(),
         }
     }
 }
@@ -642,9 +618,10 @@ impl Switch {
             .fold(0.0, f64::max)
     }
 
-    /// Pre-size the batch scratch for batches of `pkts` packets expanding
-    /// to about `lanes` lanes (epoch-loop scratch recycling: sized once
-    /// from the epoch's arrival count instead of growing mid-batch).
+    /// Pre-size the batch scratch for [`process_batch`](Self::process_batch)
+    /// calls of `pkts` packets expanding to about `lanes` lanes, so the
+    /// scratch does not grow mid-batch. (The scratch is recycled across
+    /// calls either way.)
     pub fn reserve_batch(&mut self, pkts: usize, lanes: usize) {
         self.scratch.batch.reserve(pkts, lanes);
     }
@@ -734,11 +711,9 @@ impl Switch {
         out
     }
 
-    /// Process a whole packet batch through the batch-first execution
-    /// path: lanes are expanded packet-major into the SoA [`PhvBatch`] and
-    /// walked by the configured [`BatchSchedule`] (per-lane sequential by
-    /// default; stage-major runs each module instance across every live
-    /// lane of a stage before the pipeline advances).
+    /// Process a whole packet batch: lanes are expanded packet-major into
+    /// the SoA [`PhvBatch`] and each lane walks its compiled run list in
+    /// turn.
     ///
     /// Output order is canonical and byte-identical to processing each
     /// packet alone: `out.snapshots[p]` is packet `p`'s outgoing header,
@@ -753,8 +728,7 @@ impl Switch {
     ) {
         self.forwarded += pkts.len() as u64;
         out.clear();
-        let ExecScratch { classify, batch, run_span, stage_q, cur_lanes, buckets } =
-            &mut self.scratch;
+        let ExecScratch { classify, batch } = &mut self.scratch;
         let plan = &self.plan;
         batch.clear();
 
@@ -793,12 +767,7 @@ impl Switch {
             }
         }
 
-        match self.config.batch_schedule {
-            BatchSchedule::Sequential => walk_lanes_sequential(&mut self.stages, plan, batch),
-            BatchSchedule::StageMajor => {
-                walk_batch(&mut self.stages, plan, batch, run_span, stage_q, cur_lanes, buckets)
-            }
-        }
+        walk_lanes(&mut self.stages, plan, batch);
 
         // Finalize per-packet snapshots from lane egress state. Lanes are
         // contiguous per packet by construction.
@@ -984,118 +953,20 @@ impl Switch {
     }
 }
 
-/// Below this many lanes even the [`BatchSchedule::StageMajor`] engine
-/// falls back to the sequential walk: the stage-major machinery (queues,
-/// buckets, per-stage sorts) costs more than it amortizes, and single
-/// packets expand to at most one lane per installed query so whole
-/// batches-of-1 land under it. Bit-identical either way (see
-/// [`walk_lanes_sequential`]).
-const SEQUENTIAL_LANE_CUTOFF: usize = 16;
-
-/// Walk every live lane of the batch through its compiled op list,
-/// **stage-major** with per-stage parallel semantics: each stage in
-/// ascending order freezes its lanes' stage-entry columns, groups their
-/// ops into per-slot buckets, and runs each module instance once over its
-/// whole bucket. Scheduling is O(total runs): a lane is queued for the
-/// stage of its next run and re-queued as its cursor advances, never
-/// rescanned. Draining buckets slot-ascending with lanes in ascending
-/// lane order reproduces the scalar walk's per-instance operation order
-/// exactly — 𝕊 register sequences and [`BankStats`] stay bit-identical.
-/// Dead lanes (`cur.active == 0`) are dropped at stage boundaries like
-/// the scalar walk's `any_active` gate.
+/// Walk each lane of the batch straight through its compiled run list,
+/// one lane at a time, with per-stage parallel semantics: every op of a
+/// run reads the lane's frozen stage-entry state and writes its stage-exit
+/// state. A dead lane (`cur.active == 0`) stops at the next stage
+/// boundary, like the reference walk's `any_active` gate. Lanes run in
+/// lane order, so an 𝕊 instance's registers and [`BankStats`] see
+/// operations in exactly the per-packet order; reports are tagged
+/// `(lane, seq)` and re-sorted by the caller.
 ///
-/// Free function (not a method) so callers can hold disjoint borrows of
-/// the switch's plan, stages and scratch at once.
-fn walk_batch(
-    stages: &mut [Vec<Instance>],
-    plan: &ExecPlan,
-    batch: &mut PhvBatch,
-    run_span: &mut Vec<(u32, u32)>,
-    stage_q: &mut Vec<Vec<u32>>,
-    cur_lanes: &mut Vec<u32>,
-    buckets: &mut Vec<Vec<(u32, u32, u32)>>,
-) {
-    if batch.lanes() <= SEQUENTIAL_LANE_CUTOFF {
-        walk_lanes_sequential(stages, plan, batch);
-        return;
-    }
-    if stage_q.len() < stages.len() {
-        stage_q.resize_with(stages.len(), Vec::new);
-    }
-    // Seed every live lane into the stage of its first run (ascending
-    // lane order by construction).
-    run_span.clear();
+/// Free function (not a method) so the caller can hold disjoint borrows
+/// of the switch's plan, stages and scratch at once.
+fn walk_lanes(stages: &mut [Vec<Instance>], plan: &ExecPlan, batch: &mut PhvBatch) {
     for l in 0..batch.lanes() {
-        let span = plan.dispatch(batch.lane_group[l]).runs;
-        run_span.push(span);
-        if batch.cur[l].active != 0 && span.0 < span.1 {
-            stage_q[plan.run(span.0).0 as usize].push(l as u32);
-        }
-    }
-    for s in 0..stages.len() {
-        if stage_q[s].is_empty() {
-            continue;
-        }
-        // Take the stage's lane list; re-pushed lanes arrive in source-
-        // stage order, so restore the canonical ascending lane order.
-        std::mem::swap(cur_lanes, &mut stage_q[s]);
-        cur_lanes.sort_unstable();
-        let insts = &mut stages[s];
-        if buckets.len() < insts.len() {
-            buckets.resize_with(insts.len(), Vec::new);
-        }
-        // Freeze stage-entry state, bucket the stage's ops per slot, and
-        // queue each lane for its next run's stage.
-        for &lq in cur_lanes.iter() {
-            let l = lq as usize;
-            if batch.cur[l].active == 0 {
-                continue; // Died in an earlier stage: the walk ends here.
-            }
-            let (cursor, end) = run_span[l];
-            let (_, lo, hi) = plan.run(cursor);
-            batch.entry[l] = batch.cur[l];
-            for &(slot, rlo, rhi) in plan.ops(lo, hi) {
-                buckets[slot as usize].push((lq, rlo, rhi));
-            }
-            run_span[l].0 = cursor + 1;
-            if cursor + 1 < end {
-                stage_q[plan.run(cursor + 1).0 as usize].push(lq);
-            }
-        }
-        cur_lanes.clear();
-
-        // One dispatch per (stage, slot): the instance runs across its
-        // whole bucket with the rule table hot.
-        for sl in 0..insts.len() {
-            if buckets[sl].is_empty() {
-                continue;
-            }
-            let ops = buckets[sl].iter().map(|&(l, rlo, rhi)| (l, plan.rules(rlo, rhi)));
-            match &mut insts[sl] {
-                Instance::K(m) => m.execute_batch(ops, batch),
-                Instance::H(m) => m.execute_batch(ops, batch),
-                Instance::S(m) => m.execute_batch(ops, batch),
-                Instance::R(m) => m.execute_batch(ops, batch),
-            }
-            buckets[sl].clear();
-        }
-    }
-}
-
-/// Walk each lane of a small batch straight through its compiled run
-/// list, one lane at a time — the degenerate-batch twin of [`walk_batch`]
-/// dispatching the same module kernels with single-lane buckets.
-///
-/// Bit-identical to the stage-major walk for ANY batch, not just small
-/// ones: per lane, both walks execute the same ops in the same run order
-/// against the same frozen stage-entry state; and the only *shared*
-/// mutable state — an 𝕊 instance's registers, [`BankStats`] — is owned by
-/// one module instance, which occupies exactly one (stage, slot), so two
-/// lanes touching it are ordered by lane index under both schedules.
-/// Reports are tagged `(lane, seq)` and re-sorted by the caller either
-/// way.
-fn walk_lanes_sequential(stages: &mut [Vec<Instance>], plan: &ExecPlan, batch: &mut PhvBatch) {
-    for l in 0..batch.lanes() {
+        let lane = l as u32;
         let (lo, hi) = plan.dispatch(batch.lane_group[l]).runs;
         for cursor in lo..hi {
             if batch.cur[l].active == 0 {
@@ -1105,12 +976,12 @@ fn walk_lanes_sequential(stages: &mut [Vec<Instance>], plan: &ExecPlan, batch: &
             batch.entry[l] = batch.cur[l];
             let insts = &mut stages[stage as usize];
             for &(slot, rlo, rhi) in plan.ops(olo, ohi) {
-                let ops = std::iter::once((l as u32, plan.rules(rlo, rhi)));
+                let rules = plan.rules(rlo, rhi);
                 match &mut insts[slot as usize] {
-                    Instance::K(m) => m.execute_batch(ops, batch),
-                    Instance::H(m) => m.execute_batch(ops, batch),
-                    Instance::S(m) => m.execute_batch(ops, batch),
-                    Instance::R(m) => m.execute_batch(ops, batch),
+                    Instance::K(m) => m.execute_lane(lane, rules, batch),
+                    Instance::H(m) => m.execute_lane(lane, rules, batch),
+                    Instance::S(m) => m.execute_lane(lane, rules, batch),
+                    Instance::R(m) => m.execute_lane(lane, rules, batch),
                 }
             }
         }

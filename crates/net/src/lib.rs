@@ -10,13 +10,25 @@
 //! between Newton hops and stripping it before host delivery.
 
 pub mod events;
-pub mod parallel;
 pub mod routing;
 pub mod sim;
 pub mod topology;
 
 pub use events::{AdvanceOutcome, EventSchedule, NetworkEvent};
-pub use parallel::{effective_parallelism, Parallelism, PoolMetrics, WorkerPool};
-pub use routing::{EcmpMode, PathTable, RouteScratch, Router, ShardScratch};
+pub use routing::{EcmpMode, RouteScratch, Router};
 pub use sim::{BatchDelivery, DeliveryResult, LinkKey, LinkLoad, Network};
 pub use topology::{NodeId, Topology};
+
+/// A delivery thread budget. Delivery is single-threaded, so the only
+/// value the library hands out is `Parallelism { threads: 1 }`. Its only
+/// reader is `perfbench/`; it goes once that harness is retargeted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parallelism {
+    pub threads: usize,
+}
+
+/// The host's available parallelism. Its only caller is `perfbench/`,
+/// which logs it next to the delivery thread count.
+pub fn effective_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

@@ -4,47 +4,10 @@
 //! links excluded). Ties between equal-cost next hops break by hashing the
 //! flow key — deterministic per flow, spreading flows like hardware ECMP.
 
-use crate::parallel::WorkerPool;
 use crate::topology::{NodeId, Topology};
 use newton_packet::FlowKey;
 use newton_sketch::hash::mix64;
-use std::cell::UnsafeCell;
 use std::collections::{HashSet, VecDeque};
-use std::fmt;
-
-/// One route shard's reusable working set: concatenated path nodes, the
-/// shard-local `(start, end)` range of each path within them, and the BFS
-/// scratch of the worker that fills it.
-#[derive(Debug, Default)]
-struct RouteShard {
-    nodes: Vec<NodeId>,
-    ranges: Vec<(u32, u32)>,
-    scratch: RouteScratch,
-    path: Vec<NodeId>,
-}
-
-/// A per-worker shard slot: worker `w` is the only task touching slot `w`
-/// while a routing job runs; the coordinator touches slots only between
-/// jobs, through `&mut` (`get_mut`).
-#[derive(Default)]
-struct ShardSlot(UnsafeCell<RouteShard>);
-
-// SAFETY: see the type docs — slots are indexed by worker, never shared.
-unsafe impl Sync for ShardSlot {}
-
-/// Reusable per-worker buffers of [`Router::route_batch_into`], owned next
-/// to the [`WorkerPool`] so batch routing allocates nothing in steady
-/// state.
-#[derive(Default)]
-pub struct ShardScratch {
-    shards: Vec<ShardSlot>,
-}
-
-impl fmt::Debug for ShardScratch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardScratch").field("shards", &self.shards.len()).finish()
-    }
-}
 
 /// What ECMP hashes to break ties between equal-cost next hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,39 +28,6 @@ pub struct RouteScratch {
     dist: Vec<usize>,
     queue: VecDeque<NodeId>,
     candidates: Vec<NodeId>,
-}
-
-/// A batch of precomputed routes, stored flat: one shared node pool plus a
-/// `(lo, hi)` range per packet. An empty range means the packet was
-/// unroutable. Built by [`Router::route_batch_into`]; the flat layout lets
-/// the buffer be reused across epochs and shared read-only by executor
-/// threads.
-#[derive(Debug, Clone, Default)]
-pub struct PathTable {
-    nodes: Vec<NodeId>,
-    ranges: Vec<(u32, u32)>,
-}
-
-impl PathTable {
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.ranges.clear();
-    }
-
-    /// Number of routed entries (one per batch packet).
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Packet `i`'s hop sequence; empty if unroutable.
-    pub fn path(&self, i: usize) -> &[NodeId] {
-        let (lo, hi) = self.ranges[i];
-        &self.nodes[lo as usize..hi as usize]
-    }
 }
 
 /// Routing over a topology with a mutable failure set (links and whole
@@ -164,13 +94,6 @@ impl Router {
     /// Whether the switch is currently up.
     pub fn switch_up(&self, s: NodeId) -> bool {
         self.alive[s]
-    }
-
-    /// Per-switch liveness, indexed by `NodeId` — shared read-only with
-    /// the batch executors so dead switches are skipped identically on
-    /// every path.
-    pub fn live_switches(&self) -> &[bool] {
-        &self.alive
     }
 
     /// The healthy subgraph as a [`Topology`]: live switches, live links,
@@ -269,63 +192,6 @@ impl Router {
         true
     }
 
-    /// Precompute the routes of a whole batch into `table` (cleared
-    /// first). `item(i)` yields the `(flow, src, dst)` of packet `i`.
-    /// Routing is pure (`path_into` takes `&self`), so chunks are computed
-    /// by `threads` workers of the persistent `pool` (the caller's thread
-    /// included) and merged in chunk order — the table is bit-identical to
-    /// sequential routing at any thread count, and the `shards` buffers
-    /// are reused so steady-state batch routing neither spawns threads nor
-    /// allocates.
-    pub fn route_batch_into(
-        &self,
-        count: usize,
-        item: impl Fn(usize) -> (FlowKey, NodeId, NodeId) + Sync,
-        threads: usize,
-        table: &mut PathTable,
-        shards: &mut ShardScratch,
-        pool: &mut WorkerPool,
-    ) {
-        table.clear();
-        if count == 0 {
-            return;
-        }
-        let threads = threads.clamp(1, count);
-        let chunk = count.div_ceil(threads);
-        if shards.shards.len() < threads {
-            shards.shards.resize_with(threads, ShardSlot::default);
-        }
-        for slot in shards.shards.iter_mut().take(threads) {
-            let shard = slot.0.get_mut();
-            shard.nodes.clear();
-            shard.ranges.clear();
-        }
-        {
-            let item = &item;
-            let slots: &[ShardSlot] = &shards.shards;
-            pool.run(threads, |w, _| {
-                // SAFETY: worker `w` is the only task of this job touching
-                // slot `w` (see ShardSlot); the coordinator regains `&mut`
-                // access only after the job drains.
-                let shard = unsafe { &mut *slots[w].0.get() };
-                for i in w * chunk..((w + 1) * chunk).min(count) {
-                    let (flow, src, dst) = item(i);
-                    let start = shard.nodes.len() as u32;
-                    if self.path_into(src, dst, &flow, &mut shard.scratch, &mut shard.path) {
-                        shard.nodes.extend_from_slice(&shard.path);
-                    }
-                    shard.ranges.push((start, shard.nodes.len() as u32));
-                }
-            });
-        }
-        for slot in shards.shards.iter_mut().take(threads) {
-            let shard = slot.0.get_mut();
-            let base = table.nodes.len() as u32;
-            table.ranges.extend(shard.ranges.iter().map(|&(lo, hi)| (lo + base, hi + base)));
-            table.nodes.extend_from_slice(&shard.nodes);
-        }
-    }
-
     /// All switches on *any* live shortest path between two endpoints —
     /// what resilient placement must cover for this pair.
     pub fn shortest_path_dag_nodes(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
@@ -413,49 +279,6 @@ mod tests {
         let (e1, e2) = (t.edge_switches()[0], t.edge_switches()[7]);
         let r = Router::new(t);
         assert_eq!(r.path(e1, e2, &flow(5)), r.path(e1, e2, &flow(5)));
-    }
-
-    #[test]
-    fn route_batch_matches_per_packet_routing_at_any_thread_count() {
-        let t = Topology::fat_tree(4);
-        let edges = t.edge_switches().to_vec();
-        let mut r = Router::new(t);
-        // An isolated node makes some pairs unroutable.
-        let cut = edges[2];
-        let nbrs: Vec<NodeId> = r.topology().neighbors(cut).collect();
-        for nb in nbrs {
-            r.fail_link(cut, nb);
-        }
-        let items: Vec<(FlowKey, NodeId, NodeId)> = (0..97u16)
-            .map(|i| {
-                (flow(i), edges[i as usize % edges.len()], edges[(i as usize + 3) % edges.len()])
-            })
-            .collect();
-        let mut shards = ShardScratch::default();
-        let mut pool = WorkerPool::new();
-        let mut expect = PathTable::default();
-        r.route_batch_into(items.len(), |i| items[i], 1, &mut expect, &mut shards, &mut pool);
-        for (i, &(f, src, dst)) in items.iter().enumerate() {
-            match r.path(src, dst, &f) {
-                Some(p) => assert_eq!(expect.path(i), &p[..]),
-                None => assert!(expect.path(i).is_empty()),
-            }
-        }
-        for threads in [2, 3, 8] {
-            let mut got = PathTable::default();
-            r.route_batch_into(
-                items.len(),
-                |i| items[i],
-                threads,
-                &mut got,
-                &mut shards,
-                &mut pool,
-            );
-            assert_eq!(got.len(), expect.len(), "threads={threads}");
-            for i in 0..items.len() {
-                assert_eq!(got.path(i), expect.path(i), "packet {i}, threads={threads}");
-            }
-        }
     }
 
     #[test]

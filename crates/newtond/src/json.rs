@@ -157,10 +157,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol requests
+/// nest three levels at most; the bound keeps a hostile line from
+/// exhausting the parsing thread's stack in the recursive descent.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON document; trailing non-whitespace is an error
-/// (requests are one object per line, nothing after).
+/// (requests are one object per line, nothing after), and so is nesting
+/// more than 64 arrays/objects deep.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -173,6 +179,8 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -210,8 +218,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -219,6 +227,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -397,6 +420,17 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("{\"a\":01e}").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        // Far past any stack a connection thread has: an error, not an abort.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

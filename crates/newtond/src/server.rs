@@ -26,7 +26,7 @@ use newton::query::{parse_query, validate};
 use newton::telemetry::QueryId;
 use newton::trace::{ReplayOptions, StreamConfig};
 use newton::{NewtonSystem, RunReport};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -38,6 +38,12 @@ use std::time::Instant;
 /// the core truncates the journal (bounds daemon memory on long
 /// lifetimes).
 const JOURNAL_TRUNCATE_AT: usize = 4096;
+
+/// Longest request line, in bytes without the newline, a connection may
+/// send. Requests are a few hundred bytes; a longer line is answered with
+/// `bad_request` and closes its connection, so no client can make a
+/// connection thread buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Everything the daemon needs to build and drive its system.
 #[derive(Debug, Clone)]
@@ -111,7 +117,7 @@ impl Daemon {
         let stopping = Arc::new(AtomicBool::new(false));
         let (tx, rx) = channel::<Cmd>();
         // One registry for the daemon's lifetime: the core thread feeds
-        // the system/controller/executor families into it, connection
+        // the system/controller/stream families into it, connection
         // threads feed the connection gauge, and the `metrics` op scrapes
         // it. Created here (not in the core) because the acceptor needs
         // the connection gauge before the core thread runs.
@@ -168,7 +174,8 @@ impl Drop for ConnGuard {
 
 /// Per-connection loop: decode lines, round-trip them through the core.
 /// On `subscribe` the same outbox channel becomes the event stream and
-/// this thread degenerates into a forwarding pump.
+/// this thread degenerates into a forwarding pump. A line longer than
+/// [`MAX_REQUEST_LINE`] is answered and ends the connection.
 fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
     connections.add(1);
     let _guard = ConnGuard(connections);
@@ -177,18 +184,25 @@ fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
     let mut writer = BufWriter::new(sock);
     let (outbox, inbox) = channel::<String>();
     let pending = Arc::new(AtomicUsize::new(0));
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return, // client closed
             Ok(_) => {}
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = write_line(&mut writer, &proto::err_line(0, ErrorKind::BadRequest, &detail));
+            return;
         }
-        let req = match proto::parse_request(trimmed) {
+        let parsed = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => proto::parse_request(text.trim()),
+            Err(_) => Err(proto::BadRequest { id: 0, detail: "request line is not UTF-8".into() }),
+        };
+        let req = match parsed {
             Ok(req) => req,
             Err(bad) => {
                 let resp = proto::err_line(bad.id, ErrorKind::BadRequest, &bad.detail);
@@ -259,7 +273,7 @@ struct Subscriber {
     truncated: u64,
 }
 
-/// The daemon's own instruments (the system/controller/executor families
+/// The daemon's own instruments (the system/controller/stream families
 /// register themselves through [`NewtonSystem::enable_metrics`]).
 struct DaemonMetrics {
     journal_events: Counter,

@@ -391,3 +391,50 @@ fn update_round_trips_structured_errors_and_keeps_ids_stable() {
     ctl.shutdown().expect("shutdown");
     daemon.join();
 }
+
+#[test]
+fn hostile_lines_get_bad_request_and_leave_other_clients_alone() {
+    use newtond::json;
+    use newtond::server::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let daemon = test_daemon();
+    let addr = daemon.addr().to_string();
+    let mut good = Client::connect(&addr, TIMEOUT).expect("connect");
+    good.install(INTENTS[0].0, INTENTS[0].1).expect("install");
+    let before = good.list().expect("list before the hostile client");
+
+    let sock = TcpStream::connect(&addr).expect("hostile connect");
+    sock.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut hostile = sock.try_clone().unwrap();
+    let mut replies = BufReader::new(sock);
+    let mut reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("a response line");
+        json::parse(line.trim()).expect("the response is JSON")
+    };
+    let kind = |v: &Value| {
+        v.get("error").and_then(|e| e.get("kind")).and_then(Value::as_str).map(str::to_string)
+    };
+
+    // Nested far deeper than a connection thread's stack could recurse:
+    // answered as a bad request, and the connection stays usable.
+    let mut nested = vec![b'['; 10_000];
+    nested.push(b'\n');
+    hostile.write_all(&nested).unwrap();
+    assert_eq!(kind(&reply()).as_deref(), Some("bad_request"));
+    hostile.write_all(b"{\"id\":2,\"op\":\"ping\"}\n").unwrap();
+    assert_eq!(reply().get("ok").and_then(Value::as_bool), Some(true));
+
+    // One byte past the line cap: answered, then the connection closes.
+    hostile.write_all(&vec![b'['; MAX_REQUEST_LINE + 1]).unwrap();
+    let r = reply();
+    assert_eq!(kind(&r).as_deref(), Some("bad_request"));
+    let mut rest = Vec::new();
+    assert_eq!(replies.read_to_end(&mut rest).expect("clean close"), 0, "connection closed");
+
+    assert_eq!(good.list().expect("list after the hostile client"), before);
+    good.shutdown().expect("shutdown");
+    daemon.join();
+}

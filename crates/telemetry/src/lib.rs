@@ -11,13 +11,12 @@
 //!   all (the perf bench gates this at < 2 % on the pipeline hot path).
 //! * [`Recorder`] — the real sink: a structured, **deterministic**
 //!   [`Journal`] keyed by modeled time (epoch index / modeled ms, never
-//!   wall clock) plus a separate, explicitly **nondeterministic**
-//!   [`Profile`] section for real executor timings.
+//!   wall clock).
 //!
 //! The journal's hard guarantee: for a fixed trace and event schedule it
-//! is byte-identical across executor thread counts {1, 2, 4, 8}. Anything
-//! that cannot promise that (wall-clock durations, queue depths, backoff
-//! counts) lives in the [`Profile`] and is serialized separately.
+//! is byte-identical from run to run. Anything that cannot promise that
+//! (wall-clock durations) belongs in the `newton-metrics` registry, never
+//! here.
 
 use std::fmt::Write as _;
 
@@ -159,13 +158,10 @@ impl Telemetry for NoopSink {
     fn record(&mut self, _event: Event) {}
 }
 
-/// The recording sink: deterministic [`Journal`] + nondeterministic
-/// [`Profile`], kept strictly apart so the journal's byte-identity
-/// guarantee survives profiling.
+/// The recording sink: a deterministic [`Journal`].
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     pub journal: Journal,
-    pub profile: Profile,
 }
 
 impl Recorder {
@@ -173,10 +169,9 @@ impl Recorder {
         Self::default()
     }
 
-    /// Drop everything recorded so far (journal and profile).
+    /// Drop everything recorded so far.
     pub fn clear(&mut self) {
         self.journal.clear();
-        self.profile = Profile::default();
     }
 }
 
@@ -217,7 +212,7 @@ impl Journal {
     /// Serialize the journal as JSON Lines: one event per line, keys in
     /// fixed order, floats in Rust's shortest round-trip representation.
     /// Identical event sequences produce identical bytes — this string is
-    /// what the thread-count-invariance tests compare.
+    /// what the run-to-run determinism tests compare.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
@@ -397,67 +392,6 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Executor profiling — **explicitly nondeterministic**. Wall-clock
-/// durations, queue depths and backoff counts vary run to run and across
-/// thread counts, so they live here, never in the [`Journal`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Profile {
-    /// Parallel batches executed.
-    pub batches: u64,
-    /// Packet-hops executed by pool workers.
-    pub hops: u64,
-    /// Summed worker busy wall time, nanoseconds.
-    pub busy_ns: u64,
-    /// Deepest per-switch FIFO queue seen at batch setup.
-    pub max_queue_depth: usize,
-    /// Backoff tiers taken while waiting on an upstream hop.
-    pub spins: u64,
-    pub yields: u64,
-    pub sleeps: u64,
-}
-
-impl Profile {
-    /// Fold another profile into this one (per-epoch accumulation).
-    /// Counters saturate at `u64::MAX` instead of wrapping: a profile
-    /// accumulated over an unbounded daemon lifetime must never panic a
-    /// debug build or wrap a release one mid-soak.
-    pub fn merge(&mut self, o: &Profile) {
-        self.batches = self.batches.saturating_add(o.batches);
-        self.hops = self.hops.saturating_add(o.hops);
-        self.busy_ns = self.busy_ns.saturating_add(o.busy_ns);
-        self.max_queue_depth = self.max_queue_depth.max(o.max_queue_depth);
-        self.spins = self.spins.saturating_add(o.spins);
-        self.yields = self.yields.saturating_add(o.yields);
-        self.sleeps = self.sleeps.saturating_add(o.sleeps);
-    }
-
-    /// Mean wall time per packet-hop, nanoseconds (0 when no hops ran on
-    /// the pool).
-    pub fn mean_hop_ns(&self) -> f64 {
-        if self.hops == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.hops as f64
-        }
-    }
-
-    /// One-line JSON, tagged nondeterministic so it can never be
-    /// mistaken for journal output.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"type\":\"profile\",\"nondeterministic\":true,\"batches\":{},\"hops\":{},\
-             \"busy_ns\":{},\"max_queue_depth\":{},\"spins\":{},\"yields\":{},\"sleeps\":{}}}",
-            self.batches,
-            self.hops,
-            self.busy_ns,
-            self.max_queue_depth,
-            self.spins,
-            self.yields,
-            self.sleeps
-        )
-    }
-}
-
 /// Render a Markdown-ish table (right-aligned cells) as a `String`: the
 /// shared presentation layer behind every example's `--report` output and
 /// the bench harness tables.
@@ -548,60 +482,6 @@ mod tests {
         // Rust's shortest round-trip float formatting is deterministic:
         // the exact bits 0.1+0.2 always print as 0.30000000000000004.
         assert!(j.to_jsonl().contains("\"delay_ms\":0.30000000000000004"));
-    }
-
-    #[test]
-    fn profile_merges_and_stays_out_of_the_journal() {
-        let mut rec = Recorder::new();
-        rec.profile.merge(&Profile {
-            batches: 2,
-            hops: 100,
-            busy_ns: 1000,
-            max_queue_depth: 5,
-            spins: 1,
-            yields: 2,
-            sleeps: 3,
-        });
-        rec.profile.merge(&Profile { batches: 1, hops: 50, busy_ns: 500, ..Default::default() });
-        assert_eq!(rec.profile.batches, 3);
-        assert_eq!(rec.profile.hops, 150);
-        assert_eq!(rec.profile.max_queue_depth, 5);
-        assert!((rec.profile.mean_hop_ns() - 10.0).abs() < 1e-12);
-        assert!(rec.journal.is_empty(), "profiling never touches the journal");
-        assert!(rec.profile.to_json().contains("\"nondeterministic\":true"));
-        assert_eq!(Profile::default().mean_hop_ns(), 0.0);
-    }
-
-    #[test]
-    fn profile_merge_saturates_instead_of_overflowing() {
-        let mut near_full = Profile {
-            batches: u64::MAX - 1,
-            hops: u64::MAX,
-            busy_ns: u64::MAX - 10,
-            max_queue_depth: usize::MAX,
-            spins: u64::MAX,
-            yields: 0,
-            sleeps: 5,
-        };
-        // Would panic in debug builds (and wrap in release) under `+=`.
-        near_full.merge(&Profile {
-            batches: 100,
-            hops: 100,
-            busy_ns: 100,
-            max_queue_depth: 3,
-            spins: 1,
-            yields: u64::MAX,
-            sleeps: 0,
-        });
-        assert_eq!(near_full.batches, u64::MAX);
-        assert_eq!(near_full.hops, u64::MAX);
-        assert_eq!(near_full.busy_ns, u64::MAX);
-        assert_eq!(near_full.max_queue_depth, usize::MAX);
-        assert_eq!(near_full.spins, u64::MAX);
-        assert_eq!(near_full.yields, u64::MAX);
-        assert_eq!(near_full.sleeps, 5);
-        // Saturated totals still render.
-        assert!(near_full.to_json().contains("\"nondeterministic\":true"));
     }
 
     #[test]

@@ -4,26 +4,23 @@
 //! workload as a pcap for inspection with standard tools.
 //!
 //! ```sh
-//! cargo run --example monitoring_service            # all cores
-//! cargo run --example monitoring_service -- --threads 4
-//! cargo run --example monitoring_service -- --threads 1   # sequential
+//! cargo run --example monitoring_service
 //! cargo run --example monitoring_service -- --report            # epoch table
 //! cargo run --example monitoring_service -- --json run.jsonl    # telemetry journal
 //! cargo run --example monitoring_service -- --stream            # streamed ingestion
 //! ```
 //!
-//! `--threads N` sets the epoch executor's worker count; results are
-//! bit-identical at every setting (see DESIGN.md, "Parallel execution
-//! model"). `--report` renders the per-epoch time series; `--json PATH`
-//! writes the deterministic telemetry journal (plus the executor profile)
-//! as JSONL. `--stream` replaces the materialized trace with a streamed
-//! one — segments generated by a producer thread through a bounded queue
-//! while the epochs execute (DESIGN.md, "Streaming ingestion") — so no
-//! pcap is exported: the workload never exists in memory at once.
+//! `--report` renders the per-epoch time series; `--json PATH` writes the
+//! deterministic telemetry journal as JSONL. `--stream` replaces the
+//! materialized trace with a streamed one — segments generated by a
+//! producer thread through a bounded queue while the epochs execute
+//! (DESIGN.md, "Streaming ingestion") — so no pcap is exported: the
+//! workload never exists in memory at once. Delivery itself runs on the
+//! calling thread (DESIGN.md, "Delivery is single-threaded").
 //!
 //! [`NewtonSystem`]: newton::NewtonSystem
 
-use newton::net::{Parallelism, Topology};
+use newton::net::Topology;
 use newton::packet::flow::fmt_ipv4;
 use newton::query::catalog;
 use newton::report::ReportOptions;
@@ -34,28 +31,10 @@ use newton::trace::stream::{PulseSpec, ReplayOptions, StreamConfig};
 use newton::trace::{AttackKind, Trace};
 use newton::{HostMapping, NewtonSystem};
 
-/// Parse `--threads N` from the command line; default is all cores.
-fn parallelism_from_args() -> Parallelism {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .expect("--threads expects a positive integer");
-            return Parallelism::new(n);
-        }
-    }
-    Parallelism::default()
-}
-
 fn main() {
     // One fabric, one system handle.
     let mut sys = NewtonSystem::new(Topology::fat_tree(4));
     sys.set_mapping(HostMapping::Fixed { ingress: 6, egress: 19 });
-    let par = parallelism_from_args();
-    sys.set_parallelism(par);
-    println!("epoch executor: {} worker thread(s)", par.threads);
     let opts = ReportOptions::from_args();
     if opts.wants_recorder() {
         sys.enable_recorder();

@@ -9,8 +9,8 @@
 //!
 //! A [`StreamConfig`] describes the workload as fixed-shape segments —
 //! segment `i` is a pure function of `(seed, i)` — so a producer pool can
-//! generate them on the fly through bounded queues while the epoch
-//! executor consumes them in order. Peak memory is the pool shape
+//! generate them on the fly through bounded queues while the epoch loop
+//! consumes them in order. Peak memory is the pool shape
 //! (`producers × (queue_depth + 2)` segment buffers, recycled), not the
 //! trace length; epoch reports are checkpointed to a rolling window. The
 //! full-scale version of this, with RSS and throughput gates, is

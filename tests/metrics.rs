@@ -2,28 +2,24 @@
 //! a `MetricsRegistry` to a run must not move the telemetry journal by a
 //! byte. Wall-clock facts (operation latencies, throughput counters, lane
 //! occupancy) live only in the registry, which is explicitly
-//! nondeterministic — the dual of the `Profile` rule pinned by
-//! `telemetry_journal.rs`.
+//! nondeterministic.
 //!
 //! Also covered here:
 //! * the controller op histograms count exactly one observation per
 //!   control-plane call, and the cache/channel mirror counters equal the
 //!   controller's own structs;
-//! * the executor counters move under the parallel path and agree with
-//!   the run's packet count;
 //! * the streamed replay registers its lane/recycle family and the
 //!   recycle counters balance against segments produced.
 
 use newton::metrics::MetricsRegistry;
-use newton::net::{Parallelism, Topology};
+use newton::net::Topology;
 use newton::query::catalog;
 use newton::trace::attacks::InjectSpec;
 use newton::trace::background::TraceConfig;
 use newton::trace::{AttackKind, ReplayOptions, StreamConfig, Trace};
 use newton::NewtonSystem;
 
-/// Busy enough that >1 thread genuinely takes the parallel executor path
-/// (well over `PAR_BATCH_MIN` packets per 50 ms epoch).
+/// Thousands of packets per 50 ms epoch.
 fn busy_trace() -> Trace {
     let mut trace = Trace::background(&TraceConfig {
         packets: 6_000,
@@ -48,9 +44,8 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-fn fresh_system(threads: usize, metrics: Option<&MetricsRegistry>) -> NewtonSystem {
+fn fresh_system(metrics: Option<&MetricsRegistry>) -> NewtonSystem {
     let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-    sys.set_parallelism(Parallelism::new(threads));
     if let Some(reg) = metrics {
         sys.enable_metrics(reg);
     }
@@ -62,46 +57,41 @@ fn fresh_system(threads: usize, metrics: Option<&MetricsRegistry>) -> NewtonSyst
 #[test]
 fn journal_bytes_are_identical_with_and_without_metrics() {
     let trace = busy_trace();
-    let journal = |threads: usize, metrics: Option<&MetricsRegistry>| {
-        let mut sys = fresh_system(threads, metrics);
+    let journal = |metrics: Option<&MetricsRegistry>| {
+        let mut sys = fresh_system(metrics);
         sys.enable_recorder();
         sys.run_trace(&trace, 50);
         sys.take_recorder().expect("recorder attached").journal.to_jsonl()
     };
-    for threads in [1usize, 4] {
-        let plain = journal(threads, None);
-        assert!(!plain.is_empty(), "a busy run journals events");
-        let registry = MetricsRegistry::new();
-        let observed = journal(threads, Some(&registry));
-        assert_eq!(observed, plain, "attaching metrics moved journal bytes at {threads} threads");
-        // The comparison is non-vacuous: the registry really recorded the
-        // run it rode along on.
-        assert_eq!(
-            registry.histogram_snapshot("controller_install_ns").map(|h| h.count()),
-            Some(2),
-            "one observation per install"
-        );
-    }
+    let plain = journal(None);
+    assert!(!plain.is_empty(), "a busy run journals events");
+    let registry = MetricsRegistry::new();
+    let observed = journal(Some(&registry));
+    assert_eq!(observed, plain, "attaching metrics moved journal bytes");
+    // The comparison is non-vacuous: the registry really recorded the run
+    // it rode along on.
+    assert_eq!(
+        registry.histogram_snapshot("controller_install_ns").map(|h| h.count()),
+        Some(2),
+        "one observation per install"
+    );
 }
 
 #[test]
 fn streamed_journal_bytes_are_identical_with_and_without_metrics() {
     let cfg = stream_config();
-    let journal = |threads: usize, producers: usize, metrics: Option<&MetricsRegistry>| {
-        let mut sys = fresh_system(threads, metrics);
+    let journal = |producers: usize, metrics: Option<&MetricsRegistry>| {
+        let mut sys = fresh_system(metrics);
         sys.enable_recorder();
         sys.run_stream(&cfg, 50, &ReplayOptions { producers, queue_depth: 2 });
         sys.take_recorder().expect("recorder attached").journal.to_jsonl()
     };
-    for (threads, producers) in [(1usize, 0usize), (4, 2)] {
-        let plain = journal(threads, producers, None);
+    for producers in [0usize, 2] {
+        let plain = journal(producers, None);
         assert!(!plain.is_empty());
         let registry = MetricsRegistry::new();
-        let observed = journal(threads, producers, Some(&registry));
-        assert_eq!(
-            observed, plain,
-            "streamed journal diverged at {threads} threads / {producers} producers"
-        );
+        let observed = journal(producers, Some(&registry));
+        assert_eq!(observed, plain, "streamed journal diverged at {producers} producers");
         // The stream family registered and balanced: every segment the
         // replay handed out came from either a recycled or a fresh buffer.
         let hits = registry.value("stream_recycle_hits_total").unwrap_or(0);
@@ -148,53 +138,4 @@ fn controller_op_histograms_and_mirrors_track_the_control_plane() {
     assert_eq!(registry.value("channel_messages_total"), Some(ch.messages));
     assert_eq!(registry.value("channel_bytes_total"), Some(ch.bytes));
     assert!(ch.rules_installed > 0, "the mirror comparison is non-trivial");
-}
-
-#[test]
-fn executor_counters_are_the_live_twin_of_the_drained_profile() {
-    use newton::compiler::{compile, CompilerConfig};
-    use newton::dataplane::PipelineConfig;
-    use newton::net::{Network, NodeId, PoolMetrics};
-    use newton::packet::{Packet, PacketBuilder, TcpFlags};
-
-    // Drive the pool directly with an explicit thread count: the system
-    // loop clamps its thread budget to the host's cores, so on a
-    // single-core runner it would never take the observed parallel path.
-    let registry = MetricsRegistry::new();
-    let mut net = Network::new(Topology::fat_tree(4), PipelineConfig::default());
-    net.set_metrics(Some(PoolMetrics::register(&registry)));
-    let compiled = compile(&catalog::q4_port_scan(), 1, &CompilerConfig::default());
-    let edges: Vec<NodeId> = net.topology().edge_switches().to_vec();
-    net.switch_mut(edges[0]).install(&compiled.rules).unwrap();
-
-    let pkts: Vec<Packet> = (0..400u32)
-        .map(|i| {
-            PacketBuilder::new()
-                .src_ip(0x0A00_0000 + i)
-                .dst_ip(0xAC10_0001)
-                .src_port(40_000 + (i % 1000) as u16)
-                .dst_port((i % 512) as u16)
-                .tcp_flags(TcpFlags::SYN)
-                .ts_ns(u64::from(i) * 1_000)
-                .build()
-        })
-        .collect();
-    let triples: Vec<(&Packet, NodeId, NodeId)> = pkts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p, edges[i % edges.len()], edges[(i + 3) % edges.len()]))
-        .collect();
-    for _ in 0..3 {
-        net.deliver_batch_parallel(&triples, 2);
-    }
-
-    // The registry counters and the drained profile are fed the same
-    // per-batch deltas, so the two views agree exactly.
-    let profile = net.take_parallel_profile();
-    assert_eq!(profile.batches, 3, "one profile batch per delivery");
-    assert_eq!(registry.value("executor_batches_total"), Some(profile.batches));
-    assert_eq!(registry.value("executor_hops_total"), Some(profile.hops));
-    assert_eq!(registry.value("executor_busy_ns_total"), Some(profile.busy_ns));
-    assert_eq!(registry.value("executor_max_queue_depth"), Some(profile.max_queue_depth as u64));
-    assert!(profile.hops > 0, "the batch walked real hops");
 }

@@ -1,17 +1,18 @@
 //! Streamed replay is the *same execution* as materialized replay: for
-//! any pool shape (inline, one producer, many producers) × queue depth ×
-//! thread count — with or without a failure schedule — `run_stream` must
+//! any pool shape (inline, one producer thread, several producer threads)
+//! × queue depth — with or without a failure schedule — `run_stream` must
 //! produce a `RunReport` equal field-for-field and a telemetry journal
 //! identical byte-for-byte to `run_trace` over the materialized twin of
 //! the same `StreamConfig`. Backpressure stalls, producer interleavings,
 //! and segment-boundary batch flushes must all be unobservable in modeled
-//! time.
+//! time. Materialized runs are also checked against a second fresh run of
+//! their own (run-to-run determinism).
 //!
 //! The epoch length is chosen to NOT divide the segment length, so epoch
 //! windows straddle segment boundaries and the mid-window hand-off path
 //! is genuinely exercised.
 
-use newton::net::{EventSchedule, NetworkEvent, Parallelism, Topology};
+use newton::net::{EventSchedule, NetworkEvent, Topology};
 use newton::query::catalog;
 use newton::trace::stream::{PulseSpec, ReplayOptions, StreamConfig};
 use newton::trace::{AttackKind, TraceConfig};
@@ -40,9 +41,8 @@ fn stream_cfg() -> StreamConfig {
 /// segment boundary.
 const EPOCH_MS: u64 = 20;
 
-fn system(threads: usize) -> NewtonSystem {
+fn system() -> NewtonSystem {
     let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-    sys.set_parallelism(Parallelism::new(threads));
     sys.install(&catalog::q4_port_scan()).unwrap();
     sys.install(&catalog::q1_new_tcp()).unwrap();
     sys.enable_recorder();
@@ -57,13 +57,9 @@ fn failure_schedule() -> EventSchedule {
         .at(130_000_000, NetworkEvent::RestoreSwitch { s: victim })
 }
 
-fn run_materialized(
-    cfg: &StreamConfig,
-    threads: usize,
-    schedule: Option<EventSchedule>,
-) -> (RunReport, String) {
+fn run_materialized(cfg: &StreamConfig, schedule: Option<EventSchedule>) -> (RunReport, String) {
     let trace = cfg.materialize();
-    let mut sys = system(threads);
+    let mut sys = system();
     let report = match schedule {
         Some(mut events) => {
             let r = sys.run_trace_with_events(&trace, EPOCH_MS, &mut events);
@@ -77,11 +73,10 @@ fn run_materialized(
 
 fn run_streamed(
     cfg: &StreamConfig,
-    threads: usize,
     opts: &ReplayOptions,
     schedule: Option<EventSchedule>,
 ) -> (RunReport, String) {
-    let mut sys = system(threads);
+    let mut sys = system();
     let report = match schedule {
         Some(mut events) => {
             let r = sys.run_stream_with_events(cfg, EPOCH_MS, opts, &mut events);
@@ -96,7 +91,7 @@ fn run_streamed(
 #[test]
 fn streamed_equals_materialized_across_pool_shapes_and_threads() {
     let cfg = stream_cfg();
-    let (base_report, base_journal) = run_materialized(&cfg, 1, None);
+    let (base_report, base_journal) = run_materialized(&cfg, None);
     assert!(base_report.packets > 0);
     assert!(base_journal.contains("\"type\":\"epoch\""));
     // The scan fires every segment, so the run genuinely detects.
@@ -105,25 +100,23 @@ fn streamed_equals_materialized_across_pool_shapes_and_threads() {
         base_report.reported.values().any(|keys| keys.contains(&scanner)),
         "port scanner not reported"
     );
-    for threads in [1usize, 4] {
-        // Materialized runs must agree across thread counts first…
-        let (mr, mj) = run_materialized(&cfg, threads, None);
-        assert_eq!(mr, base_report, "materialized report diverged at {threads} threads");
-        assert_eq!(mj, base_journal, "materialized journal diverged at {threads} threads");
-        // …then every streamed pool shape must match them byte for byte.
-        for producers in [0usize, 1, 2] {
-            for queue_depth in [1usize, 4, 64] {
-                let opts = ReplayOptions { producers, queue_depth };
-                let (sr, sj) = run_streamed(&cfg, threads, &opts, None);
-                assert_eq!(
-                    sr, base_report,
-                    "streamed report diverged: threads={threads} producers={producers} depth={queue_depth}"
-                );
-                assert_eq!(
-                    sj, base_journal,
-                    "streamed journal diverged: threads={threads} producers={producers} depth={queue_depth}"
-                );
-            }
+    // A second materialized run must agree with the first…
+    let (mr, mj) = run_materialized(&cfg, None);
+    assert_eq!(mr, base_report, "materialized report diverged between two runs");
+    assert_eq!(mj, base_journal, "materialized journal diverged between two runs");
+    // …then every streamed pool shape must match them byte for byte.
+    for producers in [0usize, 1, 2] {
+        for queue_depth in [1usize, 4, 64] {
+            let opts = ReplayOptions { producers, queue_depth };
+            let (sr, sj) = run_streamed(&cfg, &opts, None);
+            assert_eq!(
+                sr, base_report,
+                "streamed report diverged: producers={producers} depth={queue_depth}"
+            );
+            assert_eq!(
+                sj, base_journal,
+                "streamed journal diverged: producers={producers} depth={queue_depth}"
+            );
         }
     }
 }
@@ -131,29 +124,21 @@ fn streamed_equals_materialized_across_pool_shapes_and_threads() {
 #[test]
 fn streamed_equals_materialized_under_failures() {
     let cfg = stream_cfg();
-    let (base_report, base_journal) = run_materialized(&cfg, 1, Some(failure_schedule()));
+    let (base_report, base_journal) = run_materialized(&cfg, Some(failure_schedule()));
     assert!(base_journal.contains("\"state_loss\""), "crash journals state loss");
     assert!(base_journal.contains("\"repair\""), "repair pass journals a span");
-    for threads in [1usize, 4] {
-        for queue_depth in [1usize, 4, 64] {
-            let opts = ReplayOptions { producers: 1, queue_depth };
-            let (sr, sj) = run_streamed(&cfg, threads, &opts, Some(failure_schedule()));
-            assert_eq!(
-                sr, base_report,
-                "failure-path report diverged: threads={threads} depth={queue_depth}"
-            );
-            assert_eq!(
-                sj, base_journal,
-                "failure-path journal diverged: threads={threads} depth={queue_depth}"
-            );
-        }
+    for queue_depth in [1usize, 4, 64] {
+        let opts = ReplayOptions { producers: 1, queue_depth };
+        let (sr, sj) = run_streamed(&cfg, &opts, Some(failure_schedule()));
+        assert_eq!(sr, base_report, "failure-path report diverged: depth={queue_depth}");
+        assert_eq!(sj, base_journal, "failure-path journal diverged: depth={queue_depth}");
     }
 }
 
 /// Soak-horizon equivalence: a 16-segment stream (64 000 packets, 40
 /// epochs) with THREE full fail/repair cycles spread across it — two
 /// victims, overlapping mid-stream — must stay byte-identical to the
-/// materialized run at every thread count and pool shape tried. This is
+/// materialized run at every producer-thread count tried. This is
 /// the long-haul version of `streamed_equals_materialized_under_failures`:
 /// repeated repair passes, re-placed slices, and degraded/healed churn
 /// accumulate journal state for hundreds of events, so any drift between
@@ -188,7 +173,7 @@ fn soak_stream_with_repeated_failures_matches_materialized_across_threads() {
             .at(730_000_000, NetworkEvent::RestoreSwitch { s: a })
     };
 
-    let (base_report, base_journal) = run_materialized(&cfg, 1, Some(schedule()));
+    let (base_report, base_journal) = run_materialized(&cfg, Some(schedule()));
     assert_eq!(base_report.epoch_count, 40, "16 × 50 ms over 20 ms epochs");
     assert!(
         base_report.state_loss_events >= 3,
@@ -198,24 +183,16 @@ fn soak_stream_with_repeated_failures_matches_materialized_across_threads() {
     assert!(base_report.repairs >= 3, "every cycle repairs: {}", base_report.repairs);
     assert!(base_journal.matches("\"type\":\"repair\"").count() >= 3);
 
-    for threads in [1usize, 4] {
-        let (mr, mj) = run_materialized(&cfg, threads, Some(schedule()));
-        assert_eq!(mr, base_report, "soak materialized report diverged at {threads} threads");
-        assert_eq!(mj, base_journal, "soak materialized journal diverged at {threads} threads");
-        for opts in [
-            ReplayOptions { producers: 0, queue_depth: 1 },
-            ReplayOptions { producers: 2, queue_depth: 3 },
-        ] {
-            let (sr, sj) = run_streamed(&cfg, threads, &opts, Some(schedule()));
-            assert_eq!(
-                sr, base_report,
-                "soak streamed report diverged: threads={threads} opts={opts:?}"
-            );
-            assert_eq!(
-                sj, base_journal,
-                "soak streamed journal diverged: threads={threads} opts={opts:?}"
-            );
-        }
+    let (mr, mj) = run_materialized(&cfg, Some(schedule()));
+    assert_eq!(mr, base_report, "soak materialized report diverged between two runs");
+    assert_eq!(mj, base_journal, "soak materialized journal diverged between two runs");
+    for opts in [
+        ReplayOptions { producers: 0, queue_depth: 1 },
+        ReplayOptions { producers: 2, queue_depth: 3 },
+    ] {
+        let (sr, sj) = run_streamed(&cfg, &opts, Some(schedule()));
+        assert_eq!(sr, base_report, "soak streamed report diverged: opts={opts:?}");
+        assert_eq!(sj, base_journal, "soak streamed journal diverged: opts={opts:?}");
     }
 }
 
@@ -224,13 +201,13 @@ fn epoch_retention_keeps_the_tail_and_counts_every_epoch() {
     let cfg = stream_cfg();
     let opts = ReplayOptions::default();
     let full = {
-        let mut sys = system(1);
+        let mut sys = system();
         sys.run_stream(&cfg, EPOCH_MS, &opts)
     };
     assert_eq!(full.epoch_count as usize, full.epochs.len());
     assert!(full.epoch_count > 3, "enough epochs to trim");
     let trimmed = {
-        let mut sys = system(1);
+        let mut sys = system();
         sys.set_epoch_retention(Some(3));
         sys.run_stream(&cfg, EPOCH_MS, &opts)
     };
@@ -260,7 +237,6 @@ mod proptests {
             period in 1u64..3,
             producers in 0usize..3,
             queue_depth in 1usize..8,
-            threads in 1usize..5,
             fail in any::<bool>(),
         ) {
             let cfg = StreamConfig {
@@ -280,9 +256,9 @@ mod proptests {
                 }],
             };
             let schedule = || fail.then(super::failure_schedule);
-            let (mr, mj) = run_materialized(&cfg, 1, schedule());
+            let (mr, mj) = run_materialized(&cfg, schedule());
             let opts = ReplayOptions { producers, queue_depth };
-            let (sr, sj) = run_streamed(&cfg, threads, &opts, schedule());
+            let (sr, sj) = run_streamed(&cfg, &opts, schedule());
             prop_assert_eq!(sr, mr, "report diverged (seed={})", seed);
             prop_assert_eq!(sj, mj, "journal diverged (seed={})", seed);
         }

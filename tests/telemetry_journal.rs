@@ -1,12 +1,11 @@
 //! The deterministic telemetry journal is part of the execution contract:
 //! the `Recorder`'s event stream is keyed purely by modeled time (epoch
-//! index), so its JSONL serialization must be **byte-identical** across
-//! thread counts {1, 2, 4, 8} — with and without mid-trace failures — and
-//! between the batched and parallel executors. The same holds for the
-//! pipeline's packets-per-batch budget: every batch-lanes setting {1, 32,
-//! 128} × thread count {1, 4} must journal the same bytes. Wall-clock
-//! facts live only in the separate `Profile` section, which is excluded
-//! from these comparisons by construction.
+//! index), so its JSONL serialization must be **byte-identical** between
+//! two fresh runs of the same input — with and without mid-trace failures
+//! — and however the run's delivery batches are cut. Delivery is
+//! single-threaded; the tests named for thread counts pin this
+//! run-to-run determinism. Wall-clock facts live only in the metrics
+//! registry, never in the journal.
 //!
 //! Also covered here:
 //! * `NoopSink` functional equivalence: `Switch::process_sink` with the
@@ -14,9 +13,9 @@
 //!   `ENABLED = false` branch compiles to the uninstrumented path).
 //! * The `NEWTON_TRACE_PACKET` hook (via its programmatic twin
 //!   [`NewtonSystem::set_trace_packet`]): the journaled `packet_trace`
-//!   event is itself thread-count invariant.
+//!   event is itself deterministic.
 
-use newton::net::{EventSchedule, NetworkEvent, Parallelism, Topology};
+use newton::net::{EventSchedule, NetworkEvent, Topology};
 use newton::query::catalog;
 use newton::telemetry::Event;
 use newton::trace::attacks::InjectSpec;
@@ -24,8 +23,7 @@ use newton::trace::background::TraceConfig;
 use newton::trace::{AttackKind, Trace};
 use newton::NewtonSystem;
 
-/// A trace whose 50 ms epochs each carry well over `PAR_BATCH_MIN` (256)
-/// packets, so runs at >1 thread genuinely exercise the parallel executor.
+/// A trace whose 50 ms epochs each carry thousands of packets.
 fn busy_trace() -> Trace {
     let mut trace = Trace::background(&TraceConfig {
         packets: 6_000,
@@ -40,17 +38,10 @@ fn busy_trace() -> Trace {
     trace
 }
 
-/// Run the full system loop at `threads` with the recorder attached and
-/// return the journal's JSONL bytes (profile excluded: it is the
-/// explicitly nondeterministic section).
-fn journal_at(
-    trace: &Trace,
-    threads: usize,
-    schedule: Option<EventSchedule>,
-    trace_packet: Option<u64>,
-) -> String {
+/// Run the full system loop on a fresh system with the recorder attached
+/// and return the journal's JSONL bytes.
+fn journal_of(trace: &Trace, schedule: Option<EventSchedule>, trace_packet: Option<u64>) -> String {
     let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-    sys.set_parallelism(Parallelism::new(threads));
     sys.install(&catalog::q4_port_scan()).unwrap();
     sys.install(&catalog::q1_new_tcp()).unwrap();
     sys.set_trace_packet(trace_packet);
@@ -70,48 +61,43 @@ fn journal_at(
 #[test]
 fn journal_is_byte_identical_across_thread_counts() {
     let trace = busy_trace();
-    let base = journal_at(&trace, 1, None, None);
+    let base = journal_of(&trace, None, None);
     assert!(!base.is_empty(), "a busy run journals events");
     assert!(base.contains("\"type\":\"epoch\""), "epoch summaries present");
     assert!(base.contains("\"stage_gauge\""), "stage gauges present");
     assert!(base.contains("\"link_load\""), "link loads present");
-    for threads in [2usize, 4, 8] {
-        let j = journal_at(&trace, threads, None, None);
-        assert_eq!(j, base, "journal bytes diverged at {threads} threads");
-    }
+    assert_eq!(journal_of(&trace, None, None), base, "journal bytes diverged between two runs");
 }
 
 #[test]
 fn journal_is_byte_identical_across_batch_sizes_and_threads() {
-    // The packets-per-batch budget of the batch-first pipeline path is a
-    // pure throughput knob: reports are re-emitted in canonical per-lane
-    // order whatever the batch geometry, so the journal must not move by
-    // a byte across batch sizes (1 = effectively scalar) × thread counts.
+    // Every scheduled event flushes the delivery batch before it fires.
+    // Restoring a healthy link changes nothing, so a schedule of them
+    // every 2 ms only cuts each 50 ms epoch's delivery into ~25 smaller
+    // batches — which must not move the journal by a byte. (Repair is off
+    // in that run: a repair pass would journal its own span per event.)
     let trace = busy_trace();
-    let journal = |lanes: usize, threads: usize| {
-        let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-        sys.set_batch_lanes(lanes);
-        sys.set_parallelism(Parallelism::new(threads));
-        sys.install(&catalog::q4_port_scan()).unwrap();
-        sys.install(&catalog::q1_new_tcp()).unwrap();
-        sys.enable_recorder();
-        sys.run_trace(&trace, 50);
-        sys.take_recorder().expect("recorder attached").journal.to_jsonl()
-    };
-    let base = journal_at(&trace, 1, None, None);
-    for lanes in [1usize, 32, 128] {
-        for threads in [1usize, 4] {
-            let j = journal(lanes, threads);
-            assert_eq!(j, base, "journal bytes diverged at batch_lanes={lanes}, threads={threads}");
-        }
+    let base = journal_of(&trace, None, None);
+    let mut sys = NewtonSystem::new(Topology::fat_tree(4));
+    sys.set_repair(false);
+    sys.install(&catalog::q4_port_scan()).unwrap();
+    sys.install(&catalog::q1_new_tcp()).unwrap();
+    sys.enable_recorder();
+    let (a, b) = (0, sys.network().topology().neighbors(0).next().unwrap());
+    let mut splits = EventSchedule::new();
+    for t in (1..50).map(|i| i * 2_000_000) {
+        splits = splits.at(t, NetworkEvent::RestoreLink { a, b });
     }
+    sys.run_trace_with_events(&trace, 50, &mut splits);
+    assert_eq!(splits.pending(), 0);
+    let split = sys.take_recorder().expect("recorder attached").journal.to_jsonl();
+    assert_eq!(split, base, "journal bytes moved when delivery batches were split");
 }
 
 #[test]
 fn journal_is_byte_identical_across_threads_under_failures() {
     // A switch crash + reboot mid-trace: the repair loop, state-loss and
-    // degraded-query events must all journal identically at any thread
-    // count.
+    // degraded-query events must all journal identically on every run.
     let trace = busy_trace();
     // Fail an *edge* switch: only a switch holding installed rules counts
     // as a state-loss event.
@@ -121,13 +107,11 @@ fn journal_is_byte_identical_across_threads_under_failures() {
             .at(30_000_001, NetworkEvent::FailSwitch { s: victim })
             .at(60_000_000, NetworkEvent::RestoreSwitch { s: victim })
     };
-    let base = journal_at(&trace, 1, Some(schedule()), None);
+    let base = journal_of(&trace, Some(schedule()), None);
     assert!(base.contains("\"state_loss\""), "the crash journals a state-loss event");
     assert!(base.contains("\"repair\""), "the repair pass journals a span");
-    for threads in [2usize, 4, 8] {
-        let j = journal_at(&trace, threads, Some(schedule()), None);
-        assert_eq!(j, base, "failure-path journal diverged at {threads} threads");
-    }
+    let j = journal_of(&trace, Some(schedule()), None);
+    assert_eq!(j, base, "failure-path journal diverged between two runs");
 }
 
 #[test]
@@ -136,7 +120,7 @@ fn packet_trace_event_is_thread_count_invariant() {
 
     // The NEWTON_TRACE_PACKET hook (programmatic form): journal one
     // packet's per-module execution trace. The traced packet is picked by
-    // global arrival index, which is thread-count independent. Pick a TCP
+    // global arrival index. Pick a TCP
     // SYN so the installed queries (Q1/Q4 both classify on SYN) actually
     // fire modules during the walk.
     let trace = busy_trace();
@@ -145,12 +129,9 @@ fn packet_trace_event_is_thread_count_invariant() {
         .iter()
         .position(|p| p.protocol == Protocol::Tcp && p.tcp_flags == TcpFlags::SYN)
         .expect("the trace carries TCP SYNs") as u64;
-    let base = journal_at(&trace, 1, None, Some(idx));
+    let base = journal_of(&trace, None, Some(idx));
     assert!(base.contains("\"packet_trace\""), "the traced packet journals its trace");
-    for threads in [2usize, 4, 8] {
-        let j = journal_at(&trace, threads, None, Some(idx));
-        assert_eq!(j, base, "packet trace diverged at {threads} threads");
-    }
+    assert_eq!(journal_of(&trace, None, Some(idx)), base, "packet trace diverged between runs");
 
     // The event itself carries the requested index and a non-empty
     // rendered trace.
@@ -276,9 +257,8 @@ mod proptests {
                 &InjectSpec { seed, intensity, window_ns: 90_000_000, ..Default::default() },
             );
 
-            let run = |threads: usize| {
+            let run = || {
                 let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-                sys.set_parallelism(Parallelism::new(threads));
                 sys.set_repair(repair);
                 sys.install(&catalog::q4_port_scan()).unwrap();
                 sys.install(&catalog::q1_new_tcp()).unwrap();
@@ -288,15 +268,10 @@ mod proptests {
                 sys.take_recorder().unwrap().journal.to_jsonl()
             };
 
-            let base = run(1);
+            let base = run();
             prop_assert!(!base.is_empty());
-            for threads in [2usize, 4, 8] {
-                let j = run(threads);
-                prop_assert_eq!(
-                    &j, &base,
-                    "journal bytes diverged at {} threads (repair={})", threads, repair
-                );
-            }
+            let j = run();
+            prop_assert_eq!(&j, &base, "journal bytes diverged between runs (repair={})", repair);
         }
     }
 }
