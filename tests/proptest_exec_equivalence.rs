@@ -13,6 +13,9 @@
 //!    and CQE-sliced installs: same reports, same snapshot bytes, same
 //!    per-link load counters — also on a second batch through the same,
 //!    now stateful, networks and reused scratch buffers.
+//!    `Network::deliver_batch_parallel`, the thread-count entry point of
+//!    the benchmark harness, ≡ `Network::deliver_batch` at 1, 2, 4 and 8
+//!    threads.
 //! 3. The full system loop is deterministic: two fresh runs of the same
 //!    input, with and without mid-trace dynamics, report identically.
 //!    Delivery is single-threaded; the tests named for thread counts pin
@@ -123,6 +126,64 @@ fn assert_registers_eq(planned: &Switch, reference: &Switch, rules: &newton::dat
             );
         }
     }
+}
+
+fn delivery_topology(topo_pick: usize) -> Topology {
+    match topo_pick {
+        0 => Topology::chain(3),
+        1 => Topology::chain(5),
+        _ => Topology::fat_tree(4),
+    }
+}
+
+/// A fresh network for the delivery properties, deterministic in its
+/// arguments. With `slice_first`, the first query is CQE-sliced over the
+/// edge switches (when it cuts into 2..=edges slices) so snapshot headers
+/// must flow between hops; the remaining queries install whole, spread
+/// over the edge switches.
+fn delivery_network(specs: &[QuerySpec], topo_pick: usize, slice_first: bool) -> Network {
+    let mut net = Network::new(delivery_topology(topo_pick), pipeline());
+    let edges = net.topology().edge_switches().to_vec();
+    let sliced = slice_first
+        .then(|| compile_sliced(&build(&specs[0], "prop"), 1, &compiler_cfg(), 3))
+        .filter(|s| (2..=edges.len()).contains(&s.slice_count()));
+    let mut next_id = 1u32;
+    if let Some(s) = &sliced {
+        let n = s.slice_count();
+        for (i, &edge) in edges.iter().enumerate().take(n) {
+            let info = SliceInfo {
+                index: i as u8,
+                total: n as u8,
+                capture_set: s.capture_sets[i],
+                restore_set: if i == 0 { s.capture_sets[0] } else { s.capture_sets[i - 1] },
+                stages: (0, 12),
+            };
+            net.switch_mut(edge).install(&s.slices[i]).unwrap();
+            net.switch_mut(edge).set_slice(1, info).unwrap();
+        }
+        next_id = 2;
+    }
+    for (i, spec) in specs.iter().enumerate().skip(usize::from(sliced.is_some())) {
+        let compiled = compile(&build(spec, "prop"), next_id, &compiler_cfg());
+        next_id += 1;
+        net.switch_mut(edges[i % edges.len()]).install(&compiled.rules).unwrap();
+    }
+    net
+}
+
+/// `stream` with pseudo-random ingress and egress edge switches.
+fn delivery_triples(
+    stream: &[Packet],
+    topo_pick: usize,
+    endpoint_seed: u64,
+) -> Vec<(&Packet, NodeId, NodeId)> {
+    let topo = delivery_topology(topo_pick);
+    let edges = topo.edge_switches();
+    let pick = |i: usize, salt: u64| {
+        edges[((endpoint_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + salt))
+            % edges.len() as u64) as usize]
+    };
+    stream.iter().enumerate().map(|(i, p)| (p, pick(i, 1), pick(i, 2))).collect()
 }
 
 proptest! {
@@ -299,61 +360,9 @@ proptest! {
         endpoint_seed in any::<u64>(),
         slice_first in any::<bool>(),
     ) {
-        let make_topo = || match topo_pick {
-            0 => Topology::chain(3),
-            1 => Topology::chain(5),
-            _ => Topology::fat_tree(4),
-        };
-        let topo = make_topo();
-        let edges = topo.edge_switches().to_vec();
-        // Optionally CQE-slice the first query over the edge switches so
-        // snapshot headers must flow between hops; remaining queries
-        // install whole, spread over the edge switches. Equivalence must
-        // hold either way.
-        let sliced = slice_first
-            .then(|| compile_sliced(&build(&specs[0], "prop"), 1, &compiler_cfg(), 3))
-            .filter(|s| (2..=edges.len()).contains(&s.slice_count()));
-        let build_net = || {
-            let mut net = Network::new(make_topo(), pipeline());
-            let mut next_id = 1u32;
-            if let Some(s) = &sliced {
-                let n = s.slice_count();
-                for (i, &edge) in edges.iter().enumerate().take(n) {
-                    let info = SliceInfo {
-                        index: i as u8,
-                        total: n as u8,
-                        capture_set: s.capture_sets[i],
-                        restore_set: if i == 0 {
-                            s.capture_sets[0]
-                        } else {
-                            s.capture_sets[i - 1]
-                        },
-                        stages: (0, 12),
-                    };
-                    net.switch_mut(edge).install(&s.slices[i]).unwrap();
-                    net.switch_mut(edge).set_slice(1, info).unwrap();
-                }
-                next_id = 2;
-            }
-            for (i, spec) in specs.iter().enumerate().skip(usize::from(sliced.is_some())) {
-                let compiled = compile(&build(spec, "prop"), next_id, &compiler_cfg());
-                next_id += 1;
-                net.switch_mut(edges[i % edges.len()]).install(&compiled.rules).unwrap();
-            }
-            net
-        };
-        let pick = |i: usize, salt: u64| {
-            edges[((endpoint_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + salt))
-                % edges.len() as u64) as usize]
-        };
-        let triples: Vec<(&Packet, NodeId, NodeId)> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p, pick(i, 1), pick(i, 2)))
-            .collect();
-
-        let mut seq = build_net();
-        let mut bat = build_net();
+        let triples = delivery_triples(&stream, topo_pick, endpoint_seed);
+        let mut seq = delivery_network(&specs, topo_pick, slice_first);
+        let mut bat = delivery_network(&specs, topo_pick, slice_first);
         // The second pass runs on the same, now stateful, networks and
         // reuses the batch path's scratch buffers.
         for pass in 0..2 {
@@ -375,6 +384,46 @@ proptest! {
         for a in 0..seq.switch_count() {
             for b in a + 1..seq.switch_count() {
                 prop_assert_eq!(seq.link_load(a, b), bat.link_load(a, b), "link ({}, {})", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_batch_matches_sequential_at_any_thread_count(
+        specs in prop::collection::vec(arb_query(), 1..3),
+        stream in arb_stream(),
+        topo_pick in 0usize..3,
+        endpoint_seed in any::<u64>(),
+        slice_first in any::<bool>(),
+    ) {
+        // `deliver_batch_parallel` is the thread-count entry point the
+        // benchmark harness drives; whatever count it is given, it must
+        // deliver exactly as `deliver_batch` does, on a fresh network and
+        // again on the same, now stateful, one.
+        let triples = delivery_triples(&stream, topo_pick, endpoint_seed);
+        let mut seq = delivery_network(&specs, topo_pick, slice_first);
+        let base = seq.deliver_batch(&triples);
+        let base2 = seq.deliver_batch(&triples);
+        for threads in [1usize, 2, 4, 8] {
+            let mut par = delivery_network(&specs, topo_pick, slice_first);
+            for (pass, base) in [&base, &base2].into_iter().enumerate() {
+                let out = par.deliver_batch_parallel(&triples, threads);
+                prop_assert_eq!(
+                    &out.reports, &base.reports,
+                    "reports diverged at {} threads in pass {}", threads, pass
+                );
+                prop_assert_eq!(out.snapshot_bytes, base.snapshot_bytes, "threads={}", threads);
+                prop_assert_eq!(out.delivered, base.delivered, "threads={}", threads);
+                prop_assert_eq!(out.unrouted, base.unrouted, "threads={}", threads);
+            }
+            for a in 0..seq.switch_count() {
+                for b in a + 1..seq.switch_count() {
+                    prop_assert_eq!(
+                        seq.link_load(a, b),
+                        par.link_load(a, b),
+                        "link ({}, {}) at {} threads", a, b, threads
+                    );
+                }
             }
         }
     }
