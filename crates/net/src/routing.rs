@@ -3,11 +3,18 @@
 //! The router computes hop-by-hop paths over the live topology (failed
 //! links excluded). Ties between equal-cost next hops break by hashing the
 //! flow key — deterministic per flow, spreading flows like hardware ECMP.
+//!
+//! Routing is table-driven: one BFS per destination yields a *row* holding
+//! every node's hop distance and its live downhill neighbours, so a path
+//! is one row read plus one ECMP pick per hop. Rows are built on first use
+//! and dropped by every change to link or switch state.
 
+use crate::sim::LinkKey;
 use crate::topology::{NodeId, Topology};
 use newton_packet::FlowKey;
 use newton_sketch::hash::mix64;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// What ECMP hashes to break ties between equal-cost next hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,14 +27,20 @@ pub enum EcmpMode {
     PairHash,
 }
 
-/// Reusable buffers for [`Router::path_into`]: BFS distances, the BFS
-/// queue and the ECMP candidate list survive across calls so steady-state
-/// routing performs no heap allocation.
-#[derive(Debug, Clone, Default)]
-pub struct RouteScratch {
+/// The scratch argument of [`Router::path_into`]. Routing reads
+/// per-destination tables and needs no buffers, so this holds nothing; it
+/// stays because `perfbench/` builds one and passes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RouteScratch;
+
+/// One destination's routing table over the live topology.
+#[derive(Debug, Clone)]
+struct Row {
+    /// Hops from each node to the destination; `usize::MAX` if unreachable.
     dist: Vec<usize>,
-    queue: VecDeque<NodeId>,
-    candidates: Vec<NodeId>,
+    /// Each node's live next hops toward the destination, in neighbour
+    /// order: its ECMP candidate list.
+    next: Vec<Vec<NodeId>>,
 }
 
 /// Routing over a topology with a mutable failure set (links and whole
@@ -35,15 +48,42 @@ pub struct RouteScratch {
 #[derive(Debug, Clone)]
 pub struct Router {
     topo: Topology,
-    failed: HashSet<(NodeId, NodeId)>,
+    /// Each node's `(neighbour, link id)` pairs, ascending by neighbour.
+    adj: Vec<Vec<(NodeId, usize)>>,
+    /// Every link's key, indexed by link id; ids follow `LinkKey` order.
+    links: Vec<LinkKey>,
+    /// Per link id: failed in its own right, whatever its endpoints' state.
+    link_failed: Vec<bool>,
     alive: Vec<bool>,
     ecmp: EcmpMode,
+    /// Per destination: its row, built on first use by `&self` callers.
+    rows: Vec<OnceLock<Row>>,
 }
 
 impl Router {
     pub fn new(topo: Topology) -> Self {
-        let alive = vec![true; topo.len()];
-        Router { topo, failed: HashSet::new(), alive, ecmp: EcmpMode::default() }
+        let n = topo.len();
+        let links: Vec<LinkKey> = (0..n)
+            .flat_map(|a| {
+                topo.neighbors(a).filter(move |&b| a < b).map(move |b| LinkKey::new(a, b))
+            })
+            .collect();
+        let adj = (0..n)
+            .map(|a| {
+                let id =
+                    |b| links.binary_search(&LinkKey::new(a, b)).expect("a link per neighbour");
+                topo.neighbors(a).map(|b| (b, id(b))).collect()
+            })
+            .collect();
+        Router {
+            link_failed: vec![false; links.len()],
+            links,
+            adj,
+            alive: vec![true; n],
+            ecmp: EcmpMode::default(),
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
+            topo,
+        }
     }
 
     /// Select the ECMP tie-break mode.
@@ -55,40 +95,67 @@ impl Router {
         &self.topo
     }
 
-    fn canon(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
+    /// Every link of the topology, indexed by link id (canonical order).
+    pub(crate) fn links(&self) -> &[LinkKey] {
+        &self.links
+    }
+
+    /// The id of the link between `a` and `b`, or `None` if the topology
+    /// has no such link (including out-of-range node ids).
+    pub fn link_id(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let nbrs = self.adj.get(a)?;
+        nbrs.binary_search_by_key(&b, |&(n, _)| n).ok().map(|i| nbrs[i].1)
+    }
+
+    /// Forget every row: the live topology changed.
+    fn invalidate(&mut self) {
+        for row in &mut self.rows {
+            row.take();
         }
     }
 
-    /// Fail a link (both directions).
+    /// Fail a link (both directions). A pair that is not a topology link
+    /// is left alone.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed.insert(Self::canon(a, b));
+        if let Some(id) = self.link_id(a, b) {
+            self.link_failed[id] = true;
+            self.invalidate();
+        }
     }
 
-    /// Restore a failed link.
+    /// Restore a failed link. A pair that is not a topology link is left
+    /// alone.
     pub fn restore_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed.remove(&Self::canon(a, b));
+        if let Some(id) = self.link_id(a, b) {
+            self.link_failed[id] = false;
+            self.invalidate();
+        }
     }
 
     /// Whether the link is currently up. A link with a dead endpoint is
-    /// down regardless of its own state.
+    /// down regardless of its own state, and a pair that is not a topology
+    /// link is never up.
     pub fn link_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.alive[a] && self.alive[b] && !self.failed.contains(&Self::canon(a, b))
+        self.link_id(a, b).is_some_and(|id| self.live(a, b, id))
+    }
+
+    /// Whether link `id` between `a` and `b` carries traffic.
+    fn live(&self, a: NodeId, b: NodeId, id: usize) -> bool {
+        self.alive[a] && self.alive[b] && !self.link_failed[id]
     }
 
     /// Fail a whole switch: every incident link goes dark and the node is
     /// excluded from all paths until restored.
     pub fn fail_switch(&mut self, s: NodeId) {
         self.alive[s] = false;
+        self.invalidate();
     }
 
     /// Bring a failed switch back. Its links recover too, unless they were
     /// failed independently via [`fail_link`](Self::fail_link).
     pub fn restore_switch(&mut self, s: NodeId) {
         self.alive[s] = true;
+        self.invalidate();
     }
 
     /// Whether the switch is currently up.
@@ -101,11 +168,10 @@ impl Router {
     /// Algorithm 2 must re-place over after a failure.
     pub fn live_topology(&self) -> Topology {
         let mut live = Topology::new(format!("{}-live", self.topo.name()), self.topo.len());
-        for a in 0..self.topo.len() {
-            for b in self.topo.neighbors(a) {
-                if a < b && self.link_up(a, b) {
-                    live.add_link(a, b);
-                }
+        for (id, key) in self.links.iter().enumerate() {
+            let (a, b) = key.endpoints();
+            if self.live(a, b, id) {
+                live.add_link(a, b);
             }
         }
         for &e in self.topo.edge_switches() {
@@ -116,30 +182,52 @@ impl Router {
         live
     }
 
-    /// Live neighbors of a switch.
+    /// Live neighbors of a switch, in neighbour order.
     fn live_neighbors(&self, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.topo.neighbors(s).filter(move |&n| self.link_up(s, n))
+        self.adj[s].iter().filter(move |&&(n, id)| self.live(s, n, id)).map(|&(n, _)| n)
+    }
+
+    /// `dst`'s row, built by one BFS over the live topology on first use.
+    fn row(&self, dst: NodeId) -> &Row {
+        self.rows[dst].get_or_init(|| {
+            let n = self.alive.len();
+            let mut dist = vec![usize::MAX; n];
+            dist[dst] = 0;
+            let mut queue = VecDeque::from([dst]);
+            while let Some(s) = queue.pop_front() {
+                for nb in self.live_neighbors(s) {
+                    if dist[nb] == usize::MAX {
+                        dist[nb] = dist[s] + 1;
+                        queue.push_back(nb);
+                    }
+                }
+            }
+            // Live neighbours lie in one component, at most one hop apart
+            // in distance, so a closer neighbour is exactly one hop closer.
+            let next = (0..n)
+                .map(|v| self.live_neighbors(v).filter(|&nb| dist[nb] < dist[v]).collect())
+                .collect();
+            Row { dist, next }
+        })
     }
 
     /// Shortest path from `src` to `dst` over live links, ECMP-tie-broken
     /// by `flow`. Returns the node sequence including both endpoints, or
     /// `None` if disconnected.
     pub fn path(&self, src: NodeId, dst: NodeId, flow: &FlowKey) -> Option<Vec<NodeId>> {
-        let mut scratch = RouteScratch::default();
         let mut out = Vec::new();
-        self.path_into(src, dst, flow, &mut scratch, &mut out).then_some(out)
+        self.path_into(src, dst, flow, &mut RouteScratch, &mut out).then_some(out)
     }
 
     /// No-alloc [`path`](Self::path): writes the node sequence into `out`
-    /// (cleared first) using `scratch`'s buffers, returning `false` if
-    /// disconnected. Bit-identical routing: same BFS discipline, same
-    /// candidate order, same ECMP tie-break.
+    /// (cleared first), returning `false` if disconnected. `scratch` is
+    /// unused; the parameter stays because `perfbench/` passes one.
     pub fn path_into(
         &self,
         src: NodeId,
         dst: NodeId,
         flow: &FlowKey,
-        scratch: &mut RouteScratch,
+        _scratch: &mut RouteScratch,
         out: &mut Vec<NodeId>,
     ) -> bool {
         out.clear();
@@ -150,22 +238,8 @@ impl Router {
             out.push(src);
             return true;
         }
-        // BFS from dst: dist[n] = hops to dst.
-        let RouteScratch { dist, queue, candidates } = scratch;
-        dist.clear();
-        dist.resize(self.topo.len(), usize::MAX);
-        dist[dst] = 0;
-        queue.clear();
-        queue.push_back(dst);
-        while let Some(s) = queue.pop_front() {
-            for nb in self.live_neighbors(s) {
-                if dist[nb] == usize::MAX {
-                    dist[nb] = dist[s] + 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-        if dist[src] == usize::MAX {
+        let row = self.row(dst);
+        if row.dist[src] == usize::MAX {
             return false;
         }
         // Walk downhill, hashing per the ECMP mode for ties.
@@ -181,11 +255,14 @@ impl Router {
         out.push(src);
         let mut cur = src;
         while cur != dst {
-            let next_dist = dist[cur] - 1;
-            candidates.clear();
-            candidates.extend(self.live_neighbors(cur).filter(|&nb| dist[nb] == next_dist));
-            let pick = candidates[(mix64(fk ^ (cur as u64).wrapping_mul(0xABCD))
-                % candidates.len() as u64) as usize];
+            let candidates = &row.next[cur];
+            // A lone candidate is what the hash would pick anyway.
+            let pick = if let [only] = candidates[..] {
+                only
+            } else {
+                candidates[(mix64(fk ^ (cur as u64).wrapping_mul(0xABCD)) % candidates.len() as u64)
+                    as usize]
+            };
             out.push(pick);
             cur = pick;
         }
@@ -198,28 +275,12 @@ impl Router {
         if !self.alive[src] || !self.alive[dst] {
             return Vec::new();
         }
-        let n = self.topo.len();
-        let bfs = |root: NodeId| {
-            let mut d = vec![usize::MAX; n];
-            d[root] = 0;
-            let mut q = VecDeque::from([root]);
-            while let Some(s) = q.pop_front() {
-                for nb in self.live_neighbors(s) {
-                    if d[nb] == usize::MAX {
-                        d[nb] = d[s] + 1;
-                        q.push_back(nb);
-                    }
-                }
-            }
-            d
-        };
-        let ds = bfs(src);
-        let dd = bfs(dst);
+        let (ds, dd) = (&self.row(src).dist, &self.row(dst).dist);
         if ds[dst] == usize::MAX {
             return Vec::new();
         }
         let total = ds[dst];
-        (0..n)
+        (0..ds.len())
             .filter(|&v| ds[v] != usize::MAX && dd[v] != usize::MAX && ds[v] + dd[v] == total)
             .collect()
     }
@@ -312,6 +373,22 @@ mod tests {
         assert_eq!(live.link_count(), 1, "only 1-2 survives");
         assert_eq!(live.edge_switches(), &[0], "dead edge switch unmarked");
         assert!(live.neighbors(3).next().is_none());
+    }
+
+    #[test]
+    fn a_non_link_is_never_up_and_failing_it_changes_nothing() {
+        let mut r = Router::new(Topology::chain(4));
+        let before = r.path(0, 3, &flow(1));
+        for (a, b) in [(0, 2), (1, 1), (0, 99), (99, 0), (usize::MAX, 0)] {
+            assert_eq!(r.link_id(a, b), None, "({a},{b}) is not a link");
+            assert!(!r.link_up(a, b), "({a},{b}) reads down");
+            r.fail_link(a, b);
+            r.restore_link(a, b);
+            r.fail_link(a, b);
+        }
+        assert_eq!(r.path(0, 3, &flow(1)), before, "routing is untouched");
+        assert_eq!(r.live_topology().link_count(), 3, "no phantom link failed or added");
+        assert!((0..3).all(|a| r.link_up(a, a + 1)));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::routing::{RouteScratch, Router};
 use crate::topology::{NodeId, Topology};
 use newton_dataplane::{PipelineConfig, Report, Switch};
 use newton_packet::{Packet, SnapshotHeader};
-use newton_sketch::FastMap;
 
 /// Canonical identifier of an undirected link: `LinkKey::new(a, b)` and
 /// `LinkKey::new(b, a)` name the same link.
@@ -99,40 +98,32 @@ pub struct BatchDelivery {
     pub unrouted: usize,
 }
 
-/// Reusable buffers of the delivery path.
-#[derive(Debug, Default)]
-struct DeliverScratch {
-    route: RouteScratch,
-    path: Vec<NodeId>,
-    /// Per-hop `(link, payload, snapshot)` byte deltas, merged into the
-    /// link-load map once per batch — one map operation per distinct link
-    /// instead of one per hop per packet.
-    deltas: Vec<(LinkKey, u64, u64)>,
-}
-
 /// A simulated network of programmable switches.
 #[derive(Debug)]
 pub struct Network {
     router: Router,
     switches: Vec<Switch>,
-    link_load: FastMap<LinkKey, LinkLoad>,
+    /// Cumulative counters per link, indexed by the router's link id.
+    link_load: Vec<LinkLoad>,
     /// Switches running Newton modules; the rest forward only (§7:
     /// "Newton supports partial deployment, and CQE only works in
     /// adjacent Newton-enabled switches").
     newton_enabled: Vec<bool>,
-    scratch: DeliverScratch,
+    /// The delivery path's reusable route buffer.
+    path: Vec<NodeId>,
 }
 
 impl Network {
     /// Build a network with identical pipelines on every node.
     pub fn new(topo: Topology, pipeline: PipelineConfig) -> Self {
         let n = topo.len();
+        let router = Router::new(topo);
         Network {
-            router: Router::new(topo),
+            link_load: vec![LinkLoad::default(); router.links().len()],
+            router,
             switches: (0..n).map(|_| Switch::new(pipeline)).collect(),
-            link_load: FastMap::default(),
             newton_enabled: vec![true; n],
-            scratch: DeliverScratch::default(),
+            path: Vec::new(),
         }
     }
 
@@ -156,24 +147,27 @@ impl Network {
         self.newton_enabled[node]
     }
 
-    /// Byte counters of one (undirected) link.
+    /// Byte counters of one (undirected) link; zero for a pair that is
+    /// not a topology link.
     pub fn link_load(&self, a: NodeId, b: NodeId) -> LinkLoad {
-        self.link_load.get(&LinkKey::new(a, b)).copied().unwrap_or_default()
+        self.router.link_id(a, b).map_or_else(LinkLoad::default, |id| self.link_load[id])
     }
 
     /// The worst snapshot-overhead fraction across all loaded links.
     pub fn peak_link_overhead(&self) -> f64 {
-        self.link_load.values().map(LinkLoad::overhead_fraction).fold(0.0, f64::max)
+        self.link_load.iter().map(LinkLoad::overhead_fraction).fold(0.0, f64::max)
     }
 
     /// Every loaded link's cumulative counters, sorted by canonical link
-    /// key — a deterministic view of the (hash-ordered) load map, for
-    /// per-epoch telemetry diffing.
+    /// key, for per-epoch telemetry diffing.
     pub fn link_loads_sorted(&self) -> Vec<(LinkKey, LinkLoad)> {
-        let mut v: Vec<(LinkKey, LinkLoad)> =
-            self.link_load.iter().map(|(&k, &l)| (k, l)).collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
+        self.router
+            .links()
+            .iter()
+            .zip(&self.link_load)
+            .filter(|(_, load)| !load.is_empty())
+            .map(|(&key, &load)| (key, load))
+            .collect()
     }
 
     /// Fail a whole switch, as a hardware crash would: the router stops
@@ -231,57 +225,42 @@ impl Network {
     /// behind `egress`. Every hop forwards unconditionally; monitoring is
     /// a pure observer.
     pub fn deliver(&mut self, pkt: &Packet, ingress: NodeId, egress: NodeId) -> DeliveryResult {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let routed = self.router.path_into(
-            ingress,
-            egress,
-            &pkt.flow_key(),
-            &mut scratch.route,
-            &mut scratch.path,
-        );
-        if !routed {
-            self.scratch = scratch;
+        let mut path = Vec::new();
+        if !self.router.path_into(ingress, egress, &pkt.flow_key(), &mut RouteScratch, &mut path) {
             return DeliveryResult {
-                path: Vec::new(),
+                path,
                 reports: Vec::new(),
                 snapshot_bytes: 0,
                 clean_delivery: false,
             };
         }
         let mut reports = Vec::new();
-        let snapshot_bytes = self.walk_path(pkt, &scratch.path, &mut reports, &mut scratch.deltas);
-        Self::flush_link_deltas(&mut self.link_load, &mut scratch.deltas);
-        let path = scratch.path.clone();
-        self.scratch = scratch;
+        let snapshot_bytes = self.walk_path(pkt, &path, &mut reports);
         DeliveryResult { path, reports, snapshot_bytes, clean_delivery: true }
     }
 
     /// Deliver a batch of `(packet, ingress, egress)` triples: exactly
     /// [`deliver`](Self::deliver) per packet, in batch order, minus its
-    /// per-call allocations (one reports vector, no path clones, link
-    /// deltas merged once per batch). Only the aggregate outcome is
-    /// returned.
+    /// per-call allocations (one reports vector, one reused path buffer).
+    /// Only the aggregate outcome is returned.
     pub fn deliver_batch(&mut self, batch: &[(&Packet, NodeId, NodeId)]) -> BatchDelivery {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut path = std::mem::take(&mut self.path);
         let mut out = BatchDelivery::default();
         for &(pkt, ingress, egress) in batch {
-            let routed = self.router.path_into(
+            if !self.router.path_into(
                 ingress,
                 egress,
                 &pkt.flow_key(),
-                &mut scratch.route,
-                &mut scratch.path,
-            );
-            if !routed {
+                &mut RouteScratch,
+                &mut path,
+            ) {
                 out.unrouted += 1;
                 continue;
             }
-            out.snapshot_bytes +=
-                self.walk_path(pkt, &scratch.path, &mut out.reports, &mut scratch.deltas);
+            out.snapshot_bytes += self.walk_path(pkt, &path, &mut out.reports);
             out.delivered += 1;
         }
-        Self::flush_link_deltas(&mut self.link_load, &mut scratch.deltas);
-        self.scratch = scratch;
+        self.path = path;
         out
     }
 
@@ -296,14 +275,13 @@ impl Network {
     }
 
     /// Walk one routed packet through its hops: execute Newton pipelines,
-    /// tag mirrored reports, and record per-link byte deltas. Returns the
-    /// snapshot bytes the packet put on the wire.
+    /// tag mirrored reports, and add each link's bytes to its counters.
+    /// Returns the snapshot bytes the packet put on the wire.
     fn walk_path(
         &mut self,
         pkt: &Packet,
         path: &[NodeId],
         reports: &mut Vec<(NodeId, Report)>,
-        deltas: &mut Vec<(LinkKey, u64, u64)>,
     ) -> usize {
         let mut snapshot: Option<SnapshotHeader> = None;
         let mut snapshot_bytes = 0usize;
@@ -324,7 +302,12 @@ impl Network {
                 } else {
                     0
                 };
-                deltas.push((LinkKey::new(hop, path[i + 1]), pkt.wire_len as u64, sp));
+                let link =
+                    self.router.link_id(hop, path[i + 1]).expect("a routed hop crosses a link");
+                let load = &mut self.link_load[link];
+                load.packets += 1;
+                load.payload_bytes += pkt.wire_len as u64;
+                load.snapshot_bytes += sp;
             }
         }
         // The last Newton hop strips the header before host delivery; a
@@ -332,31 +315,6 @@ impl Network {
         // path had — the remainder defers to the analyzer (§5.2), and the
         // host still receives a clean packet.
         snapshot_bytes
-    }
-
-    /// Merge accumulated per-hop byte deltas into the link-load map: sort
-    /// by link, then one map operation per distinct link.
-    fn flush_link_deltas(
-        link_load: &mut FastMap<LinkKey, LinkLoad>,
-        deltas: &mut Vec<(LinkKey, u64, u64)>,
-    ) {
-        deltas.sort_unstable_by_key(|&(key, _, _)| key);
-        let mut i = 0;
-        while i < deltas.len() {
-            let key = deltas[i].0;
-            let start = i;
-            let (mut payload, mut snapshot) = (0u64, 0u64);
-            while i < deltas.len() && deltas[i].0 == key {
-                payload += deltas[i].1;
-                snapshot += deltas[i].2;
-                i += 1;
-            }
-            let load = link_load.entry(key).or_default();
-            load.packets += (i - start) as u64;
-            load.payload_bytes += payload;
-            load.snapshot_bytes += snapshot;
-        }
-        deltas.clear();
     }
 
     /// Reset all stateful memory network-wide (epoch boundary).
@@ -491,6 +449,36 @@ mod tests {
         let net = Network::new(Topology::chain(2), PipelineConfig::default());
         assert_eq!(net.link_load(0, 1), LinkLoad::default());
         assert_eq!(net.link_load(1, 0), net.link_load(0, 1), "undirected");
+    }
+
+    #[test]
+    fn link_loads_count_only_topology_links() {
+        let mut net = Network::new(Topology::fat_tree(4), PipelineConfig::default());
+        let edges: Vec<NodeId> = net.topology().edge_switches().to_vec();
+        for i in 0..16u16 {
+            net.deliver(&syn(1, i), edges[0], edges[7]);
+        }
+        net.deliver(&syn(2, 1), edges[2], edges[3]);
+        let mut expected: Vec<LinkKey> = Vec::new();
+        for a in 0..net.switch_count() {
+            for b in net.topology().neighbors(a).filter(|&b| a < b) {
+                if !net.link_load(a, b).is_empty() {
+                    expected.push(LinkKey::new(a, b));
+                }
+            }
+        }
+        let sorted = net.link_loads_sorted();
+        let listed: Vec<LinkKey> = sorted.iter().map(|&(k, _)| k).collect();
+        assert_eq!(listed, expected, "exactly the loaded links, in canonical order");
+        for &(key, load) in &sorted {
+            let (a, b) = key.endpoints();
+            assert_eq!(load, net.link_load(b, a), "the listed counters are the link's");
+        }
+        let hops: u64 = sorted.iter().map(|(_, l)| l.packets).sum();
+        assert_eq!(hops, 16 * 4 + 2, "four links per inter-pod path, two inside a pod");
+        for (a, b) in [(edges[0], edges[7]), (0, 1), (3, 3), (0, 999), (999, 0)] {
+            assert_eq!(net.link_load(a, b), LinkLoad::default(), "({a},{b}) is not a link");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use newton::compiler::CompilerConfig;
 use newton::controller::{InstallError, InstallReceipt, RepairOutcome, RetuneError, UpdateError};
 use newton::dataplane::PipelineConfig;
 use newton::metrics::{self, Counter, Gauge, MaxGauge, MetricsRegistry};
-use newton::net::Topology;
+use newton::net::{Network, NetworkEvent, Topology};
 use newton::query::{parse_query, validate};
 use newton::telemetry::QueryId;
 use newton::trace::{ReplayOptions, StreamConfig};
@@ -502,6 +502,7 @@ fn handle(core: &mut Core, op: &Op) -> Result<Value, OpError> {
         }
         Op::List => Ok(list_result(core)),
         Op::Inject { event } => {
+            check_event(core.sys.network(), event)?;
             let outcome = core.sys.inject_event(*event);
             Ok(json::obj(vec![
                 ("fired", json::num(outcome.fired as f64)),
@@ -551,6 +552,25 @@ fn handle(core: &mut Core, op: &Op) -> Result<Value, OpError> {
         Op::Shutdown => Ok(json::obj(vec![("stopping", Value::Bool(true))])),
         // Subscribe is intercepted by the core loop (it needs the sink).
         Op::Subscribe => unreachable!("subscribe handled by the core loop"),
+    }
+}
+
+/// Reject an event naming a switch or link the daemon's topology lacks,
+/// before it reaches the network: a switch id past the end would index
+/// out of bounds on the core thread.
+fn check_event(net: &Network, event: &NetworkEvent) -> Result<(), OpError> {
+    let known = match *event {
+        NetworkEvent::FailSwitch { s } | NetworkEvent::RestoreSwitch { s } => {
+            s < net.switch_count()
+        }
+        NetworkEvent::FailLink { a, b } | NetworkEvent::RestoreLink { a, b } => {
+            net.router().link_id(a, b).is_some()
+        }
+    };
+    if known {
+        Ok(())
+    } else {
+        Err((ErrorKind::BadRequest, format!("{event:?} is not in the topology")))
     }
 }
 

@@ -393,6 +393,34 @@ fn update_round_trips_structured_errors_and_keeps_ids_stable() {
 }
 
 #[test]
+fn inject_outside_the_topology_is_a_bad_request() {
+    use newtond::json;
+
+    let daemon = test_daemon();
+    let addr = daemon.addr().to_string();
+    let mut good = Client::connect(&addr, TIMEOUT).expect("connect");
+    good.install(INTENTS[0].0, INTENTS[0].1).expect("install");
+    let before = good.list().expect("list before the bad events");
+
+    let mut ctl = Client::connect(&addr, TIMEOUT).expect("connect");
+    let err = ctl.fail_switch(999).expect_err("chain(4) has no switch 999");
+    assert!(err.is_kind(ErrorKind::BadRequest), "got {err}");
+    let err = ctl
+        .request(
+            "inject",
+            vec![("event", json::str("fail_link")), ("a", json::num(0.0)), ("b", json::num(2.0))],
+        )
+        .expect_err("switches 0 and 2 of chain(4) share no link");
+    assert!(err.is_kind(ErrorKind::BadRequest), "got {err}");
+
+    assert_eq!(good.list().expect("list after the bad events"), before);
+    let outcome = ctl.fail_switch(3).expect("an in-range switch still fails");
+    assert_eq!(u64_field(&outcome, "fired"), 1);
+    good.shutdown().expect("shutdown");
+    daemon.join();
+}
+
+#[test]
 fn hostile_lines_get_bad_request_and_leave_other_clients_alone() {
     use newtond::json;
     use newtond::server::MAX_REQUEST_LINE;
