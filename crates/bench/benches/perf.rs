@@ -1,8 +1,7 @@
 //! Library performance: single-switch pipeline throughput (compiled
-//! [`ExecPlan`] path vs the per-packet reference path vs the batch-first
-//! `process_batch` path, with a batch-size sweep) and network delivery
-//! throughput (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9
-//! workload.
+//! `ExecPlan` path vs the per-packet reference path, plus the telemetry
+//! sinks on the compiled path) and network delivery throughput
+//! (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9 workload.
 //!
 //! Prints a table and writes machine-readable results to `BENCH_perf.json`
 //! at the repository root.
@@ -17,8 +16,8 @@
 //! bit-identical behaviour.
 //!
 //! Acceptance bars asserted here: the ExecPlan pipeline is ≥2× the
-//! reference path; the telemetry sinks stay cheap on the pipeline hot
-//! path; and the batched pipeline never loses to per-packet calls.
+//! reference path, and the telemetry sinks stay cheap on the pipeline hot
+//! path.
 //!
 //! Set `NEWTON_PERF_SMOKE=1` for a CI-sized run: a small trace, fewer
 //! passes, loosened wall-clock margins (the tiny trace is noisier than
@@ -28,9 +27,9 @@
 use std::time::Instant;
 
 use newton::compiler::{compile, CompilerConfig};
-use newton::dataplane::{BatchOutput, PipelineConfig, Switch};
+use newton::dataplane::{PipelineConfig, Switch};
 use newton::net::{Network, NodeId, Topology};
-use newton::packet::{Packet, SnapshotHeader};
+use newton::packet::Packet;
 use newton::query::catalog;
 use newton::telemetry::{NoopSink, Recorder};
 use newton_bench::{evaluation_traces, peak_rss_json, print_table};
@@ -39,10 +38,6 @@ use newton_bench::{evaluation_traces, peak_rss_json, print_table};
 /// minute, large enough that per-packet costs dominate setup.
 const PIPELINE_REPS: usize = 5;
 const DELIVERY_REPS: usize = 4;
-/// Packets per `process_batch` call at which the batch-path gate is
-/// checked: the batch-size sweep is flat within noise from 32 lanes up
-/// (the walk is compute-bound on an L1-resident working set).
-const GATED_BATCH_LANES: usize = 64;
 
 fn q19_switch() -> Switch {
     let mut sw = Switch::new(PipelineConfig::default());
@@ -140,43 +135,6 @@ fn main() {
     });
     assert_eq!(recorder_sink, plan_sink, "the recorder sink must not change pipeline behaviour");
 
-    // --- Batch-first pipeline: `process_batch` over chunked slices of the
-    // trace, swept across batch sizes. Bit-identical to the scalar path
-    // (the report-count sink pins that per size); only throughput moves.
-    let batch_tuples: Vec<(&Packet, Option<SnapshotHeader>)> =
-        packets.iter().map(|p| (p, None)).collect();
-    let measure_batched = |lanes: usize| {
-        let mut sw = q19_switch();
-        sw.reserve_batch(lanes, lanes * 2);
-        let mut sink = NoopSink;
-        let mut bout = BatchOutput::default();
-        best_rate(packets.len(), pipeline_reps, || {
-            batch_tuples
-                .chunks(lanes)
-                .map(|chunk| {
-                    sw.process_batch(chunk, &mut sink, &mut bout);
-                    bout.reports.len()
-                })
-                .sum()
-        })
-    };
-    let batch_sweep: Vec<(usize, f64)> = [16usize, 32, 64, 128]
-        .into_iter()
-        .map(|lanes| {
-            let (rate, sink) = measure_batched(lanes);
-            assert_eq!(
-                sink, plan_sink,
-                "batched pipeline at {lanes} lanes must emit equal report counts"
-            );
-            (lanes, rate)
-        })
-        .collect();
-    let batch_rate_gated = batch_sweep
-        .iter()
-        .find(|&&(lanes, _)| lanes == GATED_BATCH_LANES)
-        .map(|&(_, rate)| rate)
-        .expect("the sweep covers the default batch size");
-
     // --- Network delivery: per-packet deliver vs deliver_batch, timed
     // identically (fastest of N passes).
     let pairs = endpoints(&q19_network().1, packets.len());
@@ -197,7 +155,7 @@ fn main() {
     );
     let delivery_speedup = batch_rate / seq_rate;
 
-    let mut rows = vec![
+    let rows = vec![
         vec!["Switch::process_reference".into(), fmt_rate(ref_rate), "1.00x".into()],
         vec![
             "Switch::process (ExecPlan)".into(),
@@ -214,23 +172,13 @@ fn main() {
             fmt_rate(recorder_rate),
             format!("{:.2}x", recorder_rate / plan_rate),
         ],
-    ];
-    for &(lanes, rate) in &batch_sweep {
-        let tag = if lanes == GATED_BATCH_LANES { ", gated" } else { "" };
-        rows.push(vec![
-            format!("Switch::process_batch ({lanes} lanes{tag})"),
-            fmt_rate(rate),
-            format!("{:.2}x", rate / plan_rate),
-        ]);
-    }
-    rows.extend([
         vec!["Network::deliver (sequential)".into(), fmt_rate(seq_rate), "1.00x".into()],
         vec![
             "Network::deliver_batch".into(),
             fmt_rate(batch_rate),
             format!("{delivery_speedup:.2}x"),
         ],
-    ]);
+    ];
     print_table(
         "Pipeline & delivery throughput (Q1–Q9 workload)",
         &["Path", "Throughput", "Speedup"],
@@ -249,9 +197,9 @@ fn main() {
     );
     // Telemetry overhead gates. The no-op sink runs the *same machine
     // code* as `process`, so a measured gap is pure scheduler noise —
-    // re-measure both sides once before failing, as with the 1-worker
-    // gate below. Smoke margins are loosened like the pipeline bar above:
-    // the tiny smoke trace swings ±15% under noisy neighbors.
+    // re-measure both sides once before failing. Smoke margins are
+    // loosened like the pipeline bar above: the tiny smoke trace swings
+    // ±15% under noisy neighbors.
     let (noop_floor, recorder_floor) = if smoke { (0.85, 0.70) } else { (0.98, 0.85) };
     let mut noop_ratio = noop_rate / plan_rate;
     let mut recorder_ratio = recorder_rate / plan_rate;
@@ -286,55 +234,17 @@ fn main() {
         "acceptance: Recorder pipeline rate must stay within 15% of process \
          (smoke: 30%) — got {recorder_ratio:.3}x"
     );
-    // Batch-path gate. `process` now *is* the batch engine at batch size 1
-    // (the paths were unified), so the per-packet API already carries the
-    // engine's full speedup and the batch call's only remaining edge is
-    // amortized per-call overhead — measured at ~5-10% on this workload,
-    // inside runner noise. The gate is therefore a no-regression guard
-    // (batching must never lose to per-packet calls), not a speedup bar;
-    // smoke loosens it further (the tiny trace under-fills batches) and
-    // both modes re-measure once before failing, like the other gates.
-    let batch_floor = if smoke { 0.85 } else { 0.98 };
-    let mut batch_ratio = batch_rate_gated / plan_rate;
-    if batch_ratio < batch_floor {
-        println!(
-            "note: batch-path gate at {batch_ratio:.3}x on first measurement, re-measuring once"
-        );
-        let mut sw = q19_switch();
-        let (plan2, _) = best_rate(packets.len(), pipeline_reps, || {
-            packets.iter().map(|p| sw.process(p, None).reports.len()).sum()
-        });
-        let (batch2, _) = measure_batched(GATED_BATCH_LANES);
-        batch_ratio = batch_ratio.max(batch2 / plan2);
-    }
-    assert!(
-        batch_ratio >= batch_floor,
-        "acceptance: the batched pipeline at {GATED_BATCH_LANES} lanes must not \
-         regress below {batch_floor}x the per-packet path (got {batch_ratio:.3}x)"
-    );
     if smoke {
         println!("\nsmoke mode: equality + perf gates passed, skipping BENCH_perf.json");
         return;
     }
 
-    let sweep_json = batch_sweep
-        .iter()
-        .map(|&(lanes, rate)| format!("    {{ \"lanes\": {lanes}, \"pkts_per_sec\": {rate:.0} }}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
         "{{\n  \"workload\": \"Q1-Q9, CAIDA-like trace, {} packets\",\n  \
          \"timing\": \"fastest of {delivery_reps} passes after 1 warm-up pass\",\n  \
          \"pipeline_reference_pkts_per_sec\": {ref_rate:.0},\n  \
          \"pipeline_execplan_pkts_per_sec\": {plan_rate:.0},\n  \
          \"pipeline_speedup\": {pipeline_speedup:.3},\n  \
-         \"pipeline_batch_pkts_per_sec\": {batch_rate_gated:.0},\n  \
-         \"pipeline_batch_speedup_vs_execplan\": {batch_ratio:.3},\n  \
-         \"gated_batch_lanes\": {GATED_BATCH_LANES},\n  \
-         \"batch_note\": \"process() shares the batch engine at batch size 1, so the \
-         per-packet path already carries the engine speedup; the batch call's edge is \
-         amortized per-call overhead only (~5-10%)\",\n  \
-         \"batch_sweep\": [\n{sweep_json}\n  ],\n  \
          \"pipeline_noop_sink_pkts_per_sec\": {noop_rate:.0},\n  \
          \"pipeline_recorder_pkts_per_sec\": {recorder_rate:.0},\n  \
          \"delivery_sequential_pkts_per_sec\": {seq_rate:.0},\n  \

@@ -700,13 +700,9 @@ impl NewtonSystem {
             }
             cur.pkt_index += 1;
             batch.push((pkt, ingress, egress));
-            for (query, interp) in self.software_fallback.values_mut() {
-                if Self::fallback_mirrors(query, pkt) {
-                    cur.meter.message(pkt.wire_len as u64);
-                    interp.observe(pkt);
-                }
-            }
-            for (query, interp) in self.degraded.values_mut() {
+            for (query, interp) in
+                self.software_fallback.values_mut().chain(self.degraded.values_mut())
+            {
                 if Self::fallback_mirrors(query, pkt) {
                     cur.meter.message(pkt.wire_len as u64);
                     interp.observe(pkt);

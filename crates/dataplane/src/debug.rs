@@ -53,58 +53,36 @@ impl fmt::Display for ExecutionTrace {
 }
 
 /// Trace one packet through a (cloned) switch: every module firing of the
-/// walk [`Switch::process`] would run for a fresh (snapshot-less) packet.
-/// The real switch is untouched.
+/// slice-0 walks [`Switch::process`] would run for a fresh (snapshot-less)
+/// packet, recorded by running the reference walk with a per-stage
+/// observer. A classified query this switch holds no slice 0 of is
+/// skipped, exactly as `process` skips it (tracing is a single-switch
+/// view). The real switch is untouched.
 pub fn trace_packet(switch: &Switch, pkt: &Packet) -> Vec<ExecutionTrace> {
     // Work on a clone: tracing must not consume epoch state.
     let mut shadow = switch.clone();
-    let walks = shadow.debug_walk_prepare(pkt);
-    walks.into_iter().map(|(phv, stages)| shadow.debug_walk(phv, stages)).collect()
-}
-
-impl Switch {
-    /// The initial PHVs `process` would walk for this packet, each with
-    /// the stage range of its query's slice 0. A classified query this
-    /// switch holds no slice 0 of is skipped, exactly as `process` skips
-    /// it (slice-0 dispatch only — tracing is a single-switch view).
-    pub(crate) fn debug_walk_prepare(&self, pkt: &Packet) -> Vec<(Phv, (usize, usize))> {
-        self.classify_for_debug(pkt)
-            .into_iter()
-            .filter_map(|(query, mask)| {
-                let info = self.slices_of(query).into_iter().find(|i| i.index == 0)?;
-                let mut phv = Phv::new(pkt, query, 0);
-                phv.active_branches = mask;
-                Some((phv, info.stages))
-            })
-            .collect()
-    }
-
-    /// Walk one PHV over the stage range `[lo, hi)`, recording per-stage
-    /// diffs.
-    pub(crate) fn debug_walk(&mut self, mut phv: Phv, (lo, hi): (usize, usize)) -> ExecutionTrace {
-        let mut trace = ExecutionTrace { query: phv.query, ..Default::default() };
-        let hi = hi.min(self.stage_count_for_debug());
-        for stage in lo.min(hi)..hi {
-            if !phv.any_active() {
-                break;
-            }
-            let input = phv.clone();
-            self.execute_stage_for_debug(stage, &input, &mut phv);
-            // Record diffs per slot by comparing PHVs.
-            for (slot, effect) in diff_phv(&input, &phv) {
-                trace.firings.push(Firing {
-                    stage,
-                    slot,
-                    kind: ['K', 'H', 'S', 'R'][slot.min(3)],
-                    branch: 0, // the diff is PHV-level; branch shown as 0
-                    effect,
-                });
-            }
-        }
-        trace.active_at_exit = phv.active_branches;
-        trace.reports = phv.reports.len();
-        trace
-    }
+    shadow
+        .slice0_walks(pkt)
+        .into_iter()
+        .map(|(mut phv, info)| {
+            let mut trace = ExecutionTrace { query: phv.query, ..Default::default() };
+            shadow.walk_reference(&mut phv, info.stages, |stage, entry, exit| {
+                // Record diffs per slot by comparing PHVs.
+                for (slot, effect) in diff_phv(entry, exit) {
+                    trace.firings.push(Firing {
+                        stage,
+                        slot,
+                        kind: ['K', 'H', 'S', 'R'][slot.min(3)],
+                        branch: 0, // the diff is PHV-level; branch shown as 0
+                        effect,
+                    });
+                }
+            });
+            trace.active_at_exit = phv.active_branches;
+            trace.reports = phv.reports.len();
+            trace
+        })
+        .collect()
 }
 
 /// Describe what changed between stage entry and exit, slot-attributed by

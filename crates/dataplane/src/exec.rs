@@ -5,9 +5,9 @@
 //! state from the mutable configuration. This module mirrors that split in
 //! the simulator: every configuration mutation (`install`, `remove_query`,
 //! `add_slice`, `set_slice`) recompiles a flattened, immutable [`ExecPlan`];
-//! [`Switch::process_batch`](crate::Switch::process_batch) only *reads* the
-//! plan plus a reusable [`ExecScratch`], performing no heap allocation for
-//! dispatch.
+//! [`Switch::process`](crate::Switch::process) only *reads* the plan,
+//! walking each of the packet's lanes through it with no heap allocation
+//! for dispatch.
 //!
 //! The plan pre-resolves four things the seed path recomputed per packet:
 //!
@@ -32,15 +32,20 @@
 //!   other queries' rules); stages with no ops for the query are skipped
 //!   entirely.
 //!
-//! Dispatches live in one dense table ([`ExecPlan::dispatch`]) so the
-//! batch path can carry a plain `u32` dispatch index per lane instead of a
-//! borrow of the plan.
+//! Dispatches live in one dense table ([`ExecPlan::dispatch`]), addressed
+//! by the plain `u32` indices [`ExecPlan::slice0_idx`] and
+//! [`ExecPlan::resume_idx`] return.
+//!
+//! A *lane* is one (packet, query) walk of a dispatch's stage runs: the
+//! packet's fields, a live stage-exit `LaneState` and its frozen
+//! stage-entry copy, which every module kernel reads (stage semantics:
+//! writers in a stage are invisible to readers in the same stage).
 
-use crate::batch::PhvBatch;
 use crate::init::InitTable;
+use crate::phv::{MetadataSet, Report, SetId, GLOBAL_INIT};
 use crate::rules::QueryId;
 use crate::switch::SliceInfo;
-use newton_packet::FieldVector;
+use newton_packet::{FieldVector, SnapshotHeader};
 use newton_sketch::FastMap;
 
 /// One dispatchable slice: its assignment plus the range of its compiled
@@ -49,7 +54,7 @@ use newton_sketch::FastMap;
 /// All dispatches share three plan-global pools (`ExecPlan::run`,
 /// `ExecPlan::ops`, `ExecPlan::rules`) instead of owning per-slice
 /// vectors: for a full query catalog the pools total about a kilobyte, so
-/// the entire dispatch structure stays hot in L1 and the batch walk's
+/// the entire dispatch structure stays hot in L1 and the lane walk's
 /// per-run lookups are single array loads with no pointer chase through
 /// per-slice allocations.
 #[derive(Debug, Clone)]
@@ -191,7 +196,7 @@ impl ExecPlan {
     }
 
     /// Dispatch-table index of a classified query's slice 0, if this
-    /// switch executes it.
+    /// switch executes the query's first slice.
     #[inline]
     pub fn slice0_idx(&self, query: QueryId) -> Option<u32> {
         self.slice0.binary_search_by_key(&query, |&(q, _)| q).ok().and_then(|i| self.slice0[i].1)
@@ -205,18 +210,6 @@ impl ExecPlan {
             .binary_search_by_key(&cursor, |&(c, _, _)| c)
             .ok()
             .map(|i| (self.resume[i].1, self.resume[i].2))
-    }
-
-    /// The slice-0 dispatch for a classified query, if this switch
-    /// executes the query's first slice.
-    pub fn slice0(&self, query: QueryId) -> Option<&SliceDispatch> {
-        self.slice0_idx(query).map(|i| self.dispatch(i))
-    }
-
-    /// The slice resuming at `cursor` (exclusive per cursor by
-    /// construction), if any.
-    pub fn resume(&self, cursor: u8) -> Option<(QueryId, &SliceDispatch)> {
-        self.resume_idx(cursor).map(|(q, i)| (q, self.dispatch(i)))
     }
 
     /// Compiled `newton_init` classification: the union of branch
@@ -265,18 +258,81 @@ fn compile_init_rule(rule: &crate::rules::InitRule) -> Option<CompiledInitRule> 
     Some(CompiledInitRule { value, mask, query: rule.query, branch_mask: rule.branch_mask })
 }
 
-/// Reusable per-switch scratch for the zero-allocation packet path.
-#[derive(Debug, Clone, Default)]
-pub struct ExecScratch {
-    /// Classification output buffer.
-    pub(crate) classify: Vec<(QueryId, u32)>,
-    /// The SoA lane columns the batch walks.
-    pub(crate) batch: PhvBatch,
+/// Branch test identical to [`Phv::branch_active`](crate::Phv): same shift
+/// expression, so debug-overflow and release-masking behaviour match the
+/// reference walk bit for bit.
+#[inline(always)]
+pub(crate) fn lane_branch_active(active: u32, branch: u8) -> bool {
+    active & (1 << branch) != 0
 }
 
-impl ExecScratch {
-    pub fn new() -> Self {
-        ExecScratch::default()
+/// One lane's mutable PHV state, packed so the per-stage entry freeze is a
+/// single contiguous copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneState {
+    /// The two metadata sets (op keys, hash result, state result).
+    pub(crate) sets: [MetadataSet; 2],
+    /// The global result accumulator.
+    pub(crate) global: u32,
+    /// Branch-activity mask; `0` ⇔ the lane is dead.
+    pub(crate) active: u32,
+}
+
+/// One (packet, query) walk on the compiled path. Module kernels read
+/// `entry` and `fields` and write `cur`; ℝ pushes reports straight into
+/// the packet's output in emission order.
+pub(crate) struct Lane<'a> {
+    pub(crate) fields: FieldVector,
+    pub(crate) query: QueryId,
+    /// Live stage-exit state.
+    pub(crate) cur: LaneState,
+    /// Frozen stage-entry state.
+    pub(crate) entry: LaneState,
+    pub(crate) reports: &'a mut Vec<Report>,
+}
+
+impl<'a> Lane<'a> {
+    /// A fresh slice-0 lane with `active` from the classification branch
+    /// mask (the twin of [`Phv::new`](crate::Phv::new) plus branch-mask
+    /// assignment).
+    pub(crate) fn new(
+        fields: FieldVector,
+        query: QueryId,
+        active: u32,
+        reports: &'a mut Vec<Report>,
+    ) -> Self {
+        let state = LaneState { sets: [MetadataSet::default(); 2], global: GLOBAL_INIT, active };
+        Lane { fields, query, cur: state, entry: state, reports }
+    }
+
+    /// A lane resumed from an incoming snapshot into `restore` (the twin
+    /// of [`Phv::restore_snapshot`](crate::Phv::restore_snapshot)).
+    pub(crate) fn resume(
+        fields: FieldVector,
+        query: QueryId,
+        sp: &SnapshotHeader,
+        restore: SetId,
+        reports: &'a mut Vec<Report>,
+    ) -> Self {
+        let mut lane = Lane::new(fields, query, sp.active_mask as u32, reports);
+        let set = &mut lane.cur.sets[restore.index()];
+        set.hash_result = sp.hash_result as u32;
+        set.state_result = sp.state_result;
+        lane.cur.global = sp.global_result;
+        lane
+    }
+
+    /// The egress snapshot `newton_fin` piggybacks (the twin of
+    /// [`Phv::capture_snapshot`](crate::Phv::capture_snapshot)).
+    pub(crate) fn capture(&self, cursor: u8, set: SetId) -> SnapshotHeader {
+        let s = &self.cur.sets[set.index()];
+        SnapshotHeader {
+            cursor,
+            active_mask: (self.cur.active & 0xFF) as u8,
+            hash_result: s.hash_result as u16,
+            state_result: s.state_result,
+            global_result: self.cur.global,
+        }
     }
 }
 

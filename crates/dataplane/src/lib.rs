@@ -18,7 +18,9 @@
 //!   data: a query is a set of rules, and reconfiguration is rule
 //!   install/remove.
 //! * [`modules`] — the four module implementations interpreting those
-//!   rules, including the four SALU kinds of 𝕊.
+//!   rules, including the four SALU kinds of 𝕊. Each runs a public
+//!   `execute` over a [`Phv`] (the reference walk) and a compiled-path
+//!   kernel over one lane.
 //! * [`init`] — the `newton_init` ternary dispatch table (5-tuple + TCP
 //!   flags → query) that also absorbs front filters (Opt.1).
 //! * [`layout`] — naïve (one module per stage) vs compact (𝕂+ℍ+𝕊+ℝ per
@@ -28,13 +30,14 @@
 //!   reset and forwarding counters that prove rule operations never disturb
 //!   forwarding.
 //! * [`exec`] — the configuration/execution split: rule operations compile
-//!   a flattened, immutable [`exec::ExecPlan`]; the per-packet path only
-//!   walks it, allocation-free, against a reusable [`exec::ExecScratch`].
-//! * [`batch`] — the hot path's lane columns: packets expand into SoA PHV
-//!   lanes ([`batch::PhvBatch`]) that each walk their compiled run list
-//!   ([`Switch::process_batch`](switch::Switch::process_batch)).
+//!   a flattened, immutable [`exec::ExecPlan`]; [`Switch::process`]
+//!   walks each of a packet's lanes — every classified slice-0 query, or
+//!   the one slice its snapshot resumes — through it, allocation-free for
+//!   dispatch, pushing reports in emission order.
+//! * [`debug`] — [`debug::trace_packet`] records every module firing of
+//!   one packet by running the reference walk behind
+//!   [`Switch::process_reference`] with a per-stage observer.
 
-pub mod batch;
 pub mod debug;
 pub mod exec;
 pub mod init;
@@ -46,8 +49,7 @@ pub mod resources;
 pub mod rules;
 pub mod switch;
 
-pub use batch::BatchOutput;
-pub use exec::{ExecPlan, ExecScratch};
+pub use exec::ExecPlan;
 pub use init::InitTable;
 pub use layout::{Layout, LayoutKind, ModuleAddr, ModuleKind};
 pub use modules::BankStats;

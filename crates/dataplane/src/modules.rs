@@ -7,7 +7,7 @@
 //! which is exactly why write-read-dependent modules cannot share a stage
 //! (Fig. 4) and why the two metadata sets make the compact layout work.
 
-use crate::batch::{lane_branch_active, PhvBatch};
+use crate::exec::{lane_branch_active, Lane};
 use crate::phv::{Phv, Report, GLOBAL_INIT};
 use crate::rules::{HRule, HashMode, KRule, Operand, QueryId, RAction, RRule, SRule, SaluOp};
 use newton_packet::FieldVector;
@@ -180,14 +180,11 @@ impl KModule {
     /// index in `idx` holds a rule of the lane's query, in table order.
     /// Reads are against the lane's frozen `entry` state, writes land in
     /// `cur` — identical stage semantics to [`execute`](Self::execute).
-    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
-        let l = lane as usize;
-        let active = b.entry[l].active;
-        let fields = b.fields[b.lane_pkt[l] as usize];
+    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
         for &i in idx {
             let r = &self.rules[i as usize];
-            if lane_branch_active(active, r.branch) {
-                b.cur[l].sets[r.set.index()].op_keys = fields.masked(r.mask).0;
+            if lane_branch_active(lane.entry.active, r.branch) {
+                lane.cur.sets[r.set.index()].op_keys = lane.fields.masked(r.mask).0;
             }
         }
     }
@@ -220,14 +217,12 @@ impl HModule {
     }
 
     /// Execute one lane's pre-resolved op (compiled plan path).
-    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
-        let l = lane as usize;
-        let active = b.entry[l].active;
+    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
         for &i in idx {
             let r = &self.rules[i as usize];
-            if lane_branch_active(active, r.branch) {
-                let keys = FieldVector(b.entry[l].sets[r.set.index()].op_keys);
-                b.cur[l].sets[r.set.index()].hash_result =
+            if lane_branch_active(lane.entry.active, r.branch) {
+                let keys = FieldVector(lane.entry.sets[r.set.index()].op_keys);
+                lane.cur.sets[r.set.index()].hash_result =
                     Self::hash_of(r, keys).wrapping_add(r.offset);
             }
         }
@@ -323,22 +318,19 @@ impl SModule {
         }
     }
 
-    /// Execute one lane's pre-resolved op (compiled plan path). The
-    /// walk applies lanes in lane order, so each register sees operations
-    /// in exactly the per-packet order — register contents and
+    /// Execute one lane's pre-resolved op (compiled plan path). Lanes
+    /// run one after another in packet order, so each register sees
+    /// operations in exactly the reference order — register contents and
     /// [`BankStats`] stay bit-identical to [`execute`](Self::execute).
-    pub(crate) fn execute_lane(&mut self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
+    pub(crate) fn execute_lane(&mut self, idx: &[u32], lane: &mut Lane) {
         let SModule { rules, registers, stats, pow2_mask, .. } = self;
-        let l = lane as usize;
-        let active = b.entry[l].active;
-        let fields = b.fields[b.lane_pkt[l] as usize];
         for &i in idx {
             let r = &rules[i as usize];
-            if lane_branch_active(active, r.branch) {
-                let hash = b.entry[l].sets[r.set.index()].hash_result;
+            if lane_branch_active(lane.entry.active, r.branch) {
+                let hash = lane.entry.sets[r.set.index()].hash_result;
                 let ridx = Self::reg_index(*pow2_mask, registers.len(), hash);
-                let state = Self::salu(r, registers, stats, ridx, hash, fields);
-                b.cur[l].sets[r.set.index()].state_result = state;
+                let state = Self::salu(r, registers, stats, ridx, hash, lane.fields);
+                lane.cur.sets[r.set.index()].state_result = state;
             }
         }
     }
@@ -442,88 +434,79 @@ impl RModule {
     }
 
     /// Execute one lane's pre-resolved op (compiled plan path). Same
-    /// per-branch highest-priority selection as [`execute`](Self::execute),
-    /// tracked in the batch's generation-tagged winner scratch: the PHV's
-    /// branch mask is a `u32`, so at most 32 branches can be active, and
-    /// bumping the generation replaces a 32-entry clear per op.
-    pub(crate) fn execute_lane(&self, lane: u32, idx: &[u32], b: &mut PhvBatch) {
-        let l = lane as usize;
-        let tag = b.r_next_gen();
-        let mut n = 0usize;
-        let active = b.entry[l].active;
+    /// per-branch highest-priority selection as [`execute`](Self::execute):
+    /// the PHV's branch mask is a `u32`, so at most 32 branches can be
+    /// active, and a `seen` bit per branch marks which `best` slots are
+    /// current for this op.
+    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
+        let entry = &lane.entry;
+        let mut best = [0u32; 32];
+        let mut order = [0u8; 32];
+        let (mut seen, mut n) = (0u32, 0usize);
         for &i in idx {
             let r = &self.rules[i as usize];
-            if !lane_branch_active(active, r.branch) {
-                continue;
-            }
-            if !r.state_match.contains(b.entry[l].sets[r.set.index()].state_result)
-                || !r.global_match.contains(b.entry[l].global)
+            if !lane_branch_active(entry.active, r.branch)
+                || !r.state_match.contains(entry.sets[r.set.index()].state_result)
+                || !r.global_match.contains(entry.global)
             {
                 continue;
             }
             // Mirror `branch_active`'s release-mode shift masking so an
             // out-of-range branch aliases the same mask bit it tests.
             let bb = (r.branch & 31) as usize;
-            if b.r_tag[bb] != tag {
-                b.r_tag[bb] = tag;
-                b.r_best[bb] = i;
-                b.r_order[n] = r.branch;
+            if seen & (1 << bb) == 0 {
+                seen |= 1 << bb;
+                best[bb] = i;
+                order[n] = r.branch;
                 n += 1;
-            } else if self.rules[b.r_best[bb] as usize].priority < r.priority {
-                b.r_best[bb] = i;
+            } else if self.rules[best[bb] as usize].priority < r.priority {
+                best[bb] = i;
             }
         }
-        for k in 0..n {
-            let branch = b.r_order[k];
-            let rule = &self.rules[b.r_best[(branch & 31) as usize] as usize];
-            Self::fire_batch(rule, branch, l, b);
+        for &branch in &order[..n] {
+            Self::fire_lane(&self.rules[best[(branch & 31) as usize] as usize], branch, lane);
         }
     }
 
-    /// Apply a fired rule's actions to one lane's columns — the batched
-    /// twin of [`fire`](Self::fire): reads come from the frozen `entry_*`
-    /// columns, the global accumulator and branch mask mutate `cur_*`, and
-    /// reports are tagged `(lane, seq)` for canonical re-ordering.
-    fn fire_batch(rule: &RRule, branch: u8, l: usize, b: &mut PhvBatch) {
+    /// Apply a fired rule's actions to one lane — the compiled twin of
+    /// [`fire`](Self::fire): reads come from the frozen `entry` state, the
+    /// global accumulator and branch mask mutate `cur`, and reports go
+    /// straight to the packet's output.
+    fn fire_lane(rule: &RRule, branch: u8, lane: &mut Lane) {
+        let set = lane.entry.sets[rule.set.index()];
+        let state = set.state_result;
+        let cur = &mut lane.cur;
         for action in &rule.actions {
-            let state = b.entry[l].sets[rule.set.index()].state_result;
             match action {
-                RAction::Report => {
-                    let set = &b.entry[l].sets[rule.set.index()];
-                    let report = Report {
-                        query: b.lane_query[l],
-                        branch,
-                        op_keys: set.op_keys,
-                        hash_result: set.hash_result,
-                        state_result: set.state_result,
-                        global_result: b.cur[l].global,
-                    };
-                    let seq = b.reports.len() as u32;
-                    b.reports.push((l as u32, seq, report));
-                }
-                RAction::StopBranch => b.cur[l].active &= !(1 << branch),
-                RAction::GlobalMin => {
-                    b.cur[l].global = b.cur[l].global.min(state);
-                }
+                RAction::Report => lane.reports.push(Report {
+                    query: lane.query,
+                    branch,
+                    op_keys: set.op_keys,
+                    hash_result: set.hash_result,
+                    state_result: set.state_result,
+                    global_result: cur.global,
+                }),
+                RAction::StopBranch => cur.active &= !(1 << branch),
+                RAction::GlobalMin => cur.global = cur.global.min(state),
                 RAction::GlobalMax => {
-                    let g = if b.cur[l].global == GLOBAL_INIT { 0 } else { b.cur[l].global };
-                    b.cur[l].global = g.max(state);
+                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
+                    cur.global = g.max(state);
                 }
                 RAction::GlobalAdd => {
-                    let g = if b.cur[l].global == GLOBAL_INIT { 0 } else { b.cur[l].global };
-                    b.cur[l].global = g.saturating_add(state);
+                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
+                    cur.global = g.saturating_add(state);
                 }
                 RAction::GlobalSub => {
-                    let g = if b.cur[l].global == GLOBAL_INIT { 0 } else { b.cur[l].global };
-                    b.cur[l].global = g.saturating_sub(state);
+                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
+                    cur.global = g.saturating_sub(state);
                 }
-                RAction::GlobalSet => b.cur[l].global = state,
-                RAction::GlobalReset => b.cur[l].global = GLOBAL_INIT,
+                RAction::GlobalSet => cur.global = state,
+                RAction::GlobalReset => cur.global = GLOBAL_INIT,
             }
         }
     }
 
-    /// Apply a fired rule's actions (shared by both execution paths).
+    /// Apply a fired rule's actions (reference path).
     fn fire(rule: &RRule, branch: u8, input: &Phv, output: &mut Phv) {
         for action in &rule.actions {
             let state = input.set(rule.set).state_result;

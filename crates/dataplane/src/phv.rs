@@ -95,47 +95,14 @@ impl Phv {
     /// Fresh PHV for `pkt` executing `query` with `branches` branches all
     /// active.
     pub fn new(pkt: &Packet, query: u32, branches: u8) -> Self {
-        let mut phv = Phv::scratch();
-        phv.reset(FieldVector::from_packet(pkt), query, branches);
-        phv
-    }
-
-    /// An inert PHV for reusable scratch buffers — [`reset`](Self::reset)
-    /// before every walk.
-    pub fn scratch() -> Self {
         Phv {
-            fields: FieldVector::default(),
+            fields: FieldVector::from_packet(pkt),
             sets: [MetadataSet::default(); 2],
             global_result: GLOBAL_INIT,
-            query: 0,
-            active_branches: 0,
+            query,
+            active_branches: if branches >= 32 { u32::MAX } else { (1u32 << branches) - 1 },
             reports: Vec::new(),
         }
-    }
-
-    /// Re-initialize in place for a new (packet, query) walk, keeping the
-    /// report buffer's capacity — the zero-allocation twin of
-    /// [`new`](Self::new).
-    pub fn reset(&mut self, fields: FieldVector, query: u32, branches: u8) {
-        self.fields = fields;
-        self.sets = [MetadataSet::default(); 2];
-        self.global_result = GLOBAL_INIT;
-        self.query = query;
-        self.active_branches = if branches >= 32 { u32::MAX } else { (1u32 << branches) - 1 };
-        self.reports.clear();
-    }
-
-    /// Copy the walk state (fields, sets, global result, query, branch
-    /// mask) from `other`, leaving this PHV's report buffer untouched.
-    /// This is the stage-entry snapshot of the double-buffered walk:
-    /// modules never read reports, so the copy is pure `memcpy`.
-    #[inline]
-    pub fn copy_state_from(&mut self, other: &Phv) {
-        self.fields = other.fields;
-        self.sets = other.sets;
-        self.global_result = other.global_result;
-        self.query = other.query;
-        self.active_branches = other.active_branches;
     }
 
     /// Restore in-flight state from a result snapshot (CQE ingress parse).

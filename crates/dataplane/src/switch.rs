@@ -12,8 +12,7 @@
 //! later slices activate when an incoming result snapshot's cursor matches.
 //! `newton_fin` captures an outgoing snapshot while slices remain.
 
-use crate::batch::{BatchOutput, PhvBatch};
-use crate::exec::{ExecPlan, ExecScratch};
+use crate::exec::{ExecPlan, Lane};
 use crate::init::InitTable;
 use crate::layout::{Layout, LayoutKind, ModuleAddr, ModuleKind};
 use crate::modules::{
@@ -213,13 +212,10 @@ pub struct Switch {
     slices: FastMap<QueryId, Vec<SliceInfo>>,
     forwarded: u64,
     /// Compiled from `init`/`stages`/`slices` on every configuration
-    /// mutation; [`process_batch`](Self::process_batch) only reads it.
+    /// mutation; [`process`](Self::process) only reads it.
     plan: ExecPlan,
-    /// Reusable buffers of the zero-allocation packet path.
-    scratch: ExecScratch,
-    /// Reusable output buffer backing the batch-of-1 scalar wrappers
-    /// ([`process`](Self::process) / [`process_sink`](Self::process_sink)).
-    batch_out: BatchOutput,
+    /// Reusable `newton_init` classification buffer of the packet path.
+    classify: Vec<(QueryId, u32)>,
 }
 
 impl Switch {
@@ -255,8 +251,7 @@ impl Switch {
             slices: FastMap::default(),
             forwarded: 0,
             plan: ExecPlan::default(),
-            scratch: ExecScratch::new(),
-            batch_out: BatchOutput::default(),
+            classify: Vec::new(),
         }
     }
 
@@ -618,13 +613,9 @@ impl Switch {
             .fold(0.0, f64::max)
     }
 
-    /// Pre-size the batch scratch for [`process_batch`](Self::process_batch)
-    /// calls of `pkts` packets expanding to about `lanes` lanes, so the
-    /// scratch does not grow mid-batch. (The scratch is recycled across
-    /// calls either way.)
-    pub fn reserve_batch(&mut self, pkts: usize, lanes: usize) {
-        self.scratch.batch.reserve(pkts, lanes);
-    }
+    /// Does nothing: the per-packet walk keeps no batch scratch to
+    /// pre-size. Kept only because the `perfbench/` harness still calls it.
+    pub fn reserve_batch(&mut self, _pkts: usize, _lanes: usize) {}
 
     /// Reset all stateful memory (epoch boundary).
     pub fn clear_state(&mut self) {
@@ -671,8 +662,7 @@ impl Switch {
     }
 
     /// Process one packet: forward it, execute matching query slices,
-    /// return reports and an outgoing snapshot. A batch-of-1 wrapper
-    /// around [`process_batch`](Self::process_batch).
+    /// return reports and an outgoing snapshot.
     ///
     /// The snapshot header doubles as a **processed marker**: resilient
     /// placement (Algorithm 2) installs slice 0 on *every* edge switch, so
@@ -692,125 +682,65 @@ impl Switch {
     /// touch sits behind `T::ENABLED`, a compile-time constant, so with
     /// [`newton_telemetry::NoopSink`] this monomorphizes to the
     /// uninstrumented path — the perf bench gates that at < 2 % overhead
-    /// on the pipeline hot path. Both scalar entry points share the single
-    /// batched body, so there is no scalar/batch divergence to maintain.
-    #[inline]
+    /// on the pipeline hot path.
+    ///
+    /// The packet's lanes — every slice-0 query `newton_init` classifies,
+    /// in classification order, or the one slice the incoming snapshot's
+    /// cursor resumes — each walk their compiled run list in turn. Reports
+    /// land in emission order, and sink events follow that order.
     pub fn process_sink<T: Telemetry>(
         &mut self,
         pkt: &Packet,
         sp_in: Option<&SnapshotHeader>,
         sink: &mut T,
     ) -> PipelineOutput {
-        let mut bout = std::mem::take(&mut self.batch_out);
-        self.process_batch(&[(pkt, sp_in.copied())], sink, &mut bout);
-        let out = PipelineOutput {
-            reports: bout.reports.drain(..).map(|(_, r)| r).collect(),
-            snapshot: bout.snapshots.first().copied().flatten(),
+        self.forwarded += 1;
+        let Switch { stages, plan, classify, .. } = self;
+        let mut out = PipelineOutput::default();
+        out.snapshot = match sp_in {
+            None => {
+                // Slice-0 queries dispatched by newton_init. The last
+                // classified query still active with slices remaining
+                // wins the continuation slot.
+                let fields = FieldVector::from_packet(pkt);
+                plan.classify_into(&fields, classify);
+                let mut executed = false;
+                let mut continuation = None;
+                for &(query, branch_mask) in classify.iter() {
+                    let Some(g) = plan.slice0_idx(query) else { continue };
+                    let d = plan.dispatch(g);
+                    let mut lane = Lane::new(fields, query, branch_mask, &mut out.reports);
+                    walk_lane(stages, plan, d.runs, &mut lane);
+                    executed = true;
+                    if d.info.total > 1 && lane.cur.active != 0 {
+                        continuation = Some(lane.capture(1, d.info.capture_set));
+                    }
+                }
+                continuation.or(executed.then_some(DEAD_MARKER))
+            }
+            // The later slice resumed from the incoming snapshot cursor
+            // (unique by construction) continues to the next slice or
+            // dies; with no slice to resume, the header passes through.
+            Some(sp) => Some(match plan.resume_idx(sp.cursor) {
+                Some((query, g)) if sp.active_mask != 0 => {
+                    let d = plan.dispatch(g);
+                    let fields = FieldVector::from_packet(pkt);
+                    let mut lane =
+                        Lane::resume(fields, query, sp, d.info.restore_set, &mut out.reports);
+                    walk_lane(stages, plan, d.runs, &mut lane);
+                    if d.info.index + 1 < d.info.total && lane.cur.active != 0 {
+                        lane.capture(d.info.index + 1, d.info.capture_set)
+                    } else {
+                        DEAD_MARKER
+                    }
+                }
+                // Resumed with nothing active: dead on arrival.
+                Some(_) => DEAD_MARKER,
+                None => *sp,
+            }),
         };
-        self.batch_out = bout;
-        out
-    }
-
-    /// Process a whole packet batch: lanes are expanded packet-major into
-    /// the SoA [`PhvBatch`] and each lane walks its compiled run list in
-    /// turn.
-    ///
-    /// Output order is canonical and byte-identical to processing each
-    /// packet alone: `out.snapshots[p]` is packet `p`'s outgoing header,
-    /// `out.reports` is packet-major then classification order then
-    /// execution order, and sink events are emitted in exactly that
-    /// report order.
-    pub fn process_batch<T: Telemetry>(
-        &mut self,
-        pkts: &[(&Packet, Option<SnapshotHeader>)],
-        sink: &mut T,
-        out: &mut BatchOutput,
-    ) {
-        self.forwarded += pkts.len() as u64;
-        out.clear();
-        let ExecScratch { classify, batch } = &mut self.scratch;
-        let plan = &self.plan;
-        batch.clear();
-
-        // Lane expansion, packet-major. Snapshots are pushed provisionally
-        // and finalized from lane egress state after the walk.
-        for (p, &(pkt, sp_in)) in pkts.iter().enumerate() {
-            let fields = FieldVector::from_packet(pkt);
-            batch.fields.push(fields);
-            match sp_in {
-                None => {
-                    // Slice-0 queries dispatched by newton_init.
-                    plan.classify_into(&fields, classify);
-                    let lane_lo = batch.lanes();
-                    for &(query, branch_mask) in classify.iter() {
-                        let Some(g) = plan.slice0_idx(query) else { continue };
-                        batch.push_lane(p as u32, query, g, branch_mask);
-                    }
-                    let executed = batch.lanes() > lane_lo;
-                    out.snapshots.push(if executed { Some(DEAD_MARKER) } else { None });
-                }
-                Some(sp) => {
-                    // The later slice resumed from the incoming snapshot
-                    // cursor (unique by construction); by default the
-                    // header passes through unchanged.
-                    match plan.resume_idx(sp.cursor) {
-                        Some((query, g)) if sp.active_mask != 0 => {
-                            let restore = plan.dispatch(g).info.restore_set.index();
-                            batch.push_resume_lane(p as u32, query, g, &sp, restore);
-                            out.snapshots.push(Some(sp));
-                        }
-                        // Resumed with nothing active: dead on arrival.
-                        Some(_) => out.snapshots.push(Some(DEAD_MARKER)),
-                        None => out.snapshots.push(Some(sp)),
-                    }
-                }
-            }
-        }
-
-        walk_lanes(&mut self.stages, plan, batch);
-
-        // Finalize per-packet snapshots from lane egress state. Lanes are
-        // contiguous per packet by construction.
-        let mut l = 0usize;
-        for (p, &(_, sp_in)) in pkts.iter().enumerate() {
-            let lo = l;
-            while l < batch.lanes() && batch.lane_pkt[l] as usize == p {
-                l += 1;
-            }
-            if lo == l {
-                continue; // No lanes: the provisional snapshot stands.
-            }
-            if sp_in.is_some() {
-                // A resumed packet holds exactly one lane (cursors are
-                // unique): continue to the next slice or die.
-                let info = &plan.dispatch(batch.lane_group[lo]).info;
-                let next = if info.index + 1 < info.total && batch.cur[lo].active != 0 {
-                    batch.capture(lo, info.index + 1, info.capture_set.index())
-                } else {
-                    DEAD_MARKER
-                };
-                out.snapshots[p] = Some(next);
-            } else {
-                // Slice 0: the last classified query still active with
-                // slices remaining wins the continuation slot (scalar
-                // loop-carried overwrite order).
-                let mut continuation: Option<SnapshotHeader> = None;
-                for lane in lo..l {
-                    let info = &plan.dispatch(batch.lane_group[lane]).info;
-                    if info.total > 1 && batch.cur[lane].active != 0 {
-                        continuation = Some(batch.capture(lane, 1, info.capture_set.index()));
-                    }
-                }
-                out.snapshots[p] = Some(continuation.unwrap_or(DEAD_MARKER));
-            }
-        }
-
-        // Reports were tagged (lane, seq) at push time; sorting restores
-        // the canonical scalar emission order.
-        batch.reports.sort_unstable_by_key(|&(lane, seq, _)| (lane, seq));
-        let PhvBatch { reports, lane_pkt, .. } = batch;
-        for (lane, _, r) in reports.drain(..) {
-            if T::ENABLED {
+        if T::ENABLED {
+            for r in &out.reports {
                 sink.record(Event::SwitchReport {
                     query: r.query,
                     branch: r.branch,
@@ -818,8 +748,8 @@ impl Switch {
                     state: r.state_result,
                 });
             }
-            out.reports.push((lane_pkt[lane as usize], r));
         }
+        out
     }
 
     /// The seed (pre-plan) packet path, retained as the behavioural
@@ -838,14 +768,8 @@ impl Switch {
             None => {
                 let mut continuation: Option<SnapshotHeader> = None;
                 let mut executed = false;
-                for (query, branch_mask) in self.init.classify(pkt) {
-                    let Some(info) = self.slices_of(query).into_iter().find(|i| i.index == 0)
-                    else {
-                        continue;
-                    };
-                    let mut phv = Phv::new(pkt, query, 0);
-                    phv.active_branches = branch_mask;
-                    self.walk_reference(&mut phv, info.stages);
+                for (mut phv, info) in self.slice0_walks(pkt) {
+                    self.walk_reference(&mut phv, info.stages, |_, _, _| {});
                     out.reports.append(&mut phv.reports);
                     executed = true;
                     if info.total > 1 && phv.any_active() {
@@ -869,7 +793,7 @@ impl Switch {
                         next = DEAD_MARKER;
                         continue;
                     }
-                    self.walk_reference(&mut phv, info.stages);
+                    self.walk_reference(&mut phv, info.stages, |_, _, _| {});
                     out.reports.append(&mut phv.reports);
                     next = if info.index + 1 < info.total && phv.any_active() {
                         phv.capture_snapshot(info.index + 1, info.capture_set)
@@ -883,18 +807,43 @@ impl Switch {
         out
     }
 
+    /// The slice-0 walks `newton_init` dispatches for a fresh packet, in
+    /// classification order: one PHV per classified query this switch
+    /// holds slice 0 of, with that slice's assignment. A classified query
+    /// held only as a later slice is skipped.
+    pub(crate) fn slice0_walks(&self, pkt: &Packet) -> Vec<(Phv, SliceInfo)> {
+        self.init
+            .classify(pkt)
+            .into_iter()
+            .filter_map(|(query, branch_mask)| {
+                let info = self.slices_of(query).into_iter().find(|i| i.index == 0)?;
+                let mut phv = Phv::new(pkt, query, 0);
+                phv.active_branches = branch_mask;
+                Some((phv, info))
+            })
+            .collect()
+    }
+
     /// Walk the PHV through the stages in `range` with per-stage parallel
     /// semantics: every instance in a stage reads the stage-entry PHV and
-    /// writes into the stage-exit PHV. Seed implementation kept for
-    /// [`process_reference`](Self::process_reference).
-    fn walk_reference(&mut self, phv: &mut Phv, range: (usize, usize)) {
+    /// writes into the stage-exit PHV. `observe(stage, entry, exit)` sees
+    /// every stage that ran. Seed implementation kept for
+    /// [`process_reference`](Self::process_reference) and
+    /// [`debug::trace_packet`](crate::debug::trace_packet).
+    pub(crate) fn walk_reference(
+        &mut self,
+        phv: &mut Phv,
+        range: (usize, usize),
+        mut observe: impl FnMut(usize, &Phv, &Phv),
+    ) {
         let hi = range.1.min(self.stages.len());
-        for stage in self.stages[range.0.min(hi)..hi].iter_mut() {
+        let lo = range.0.min(hi);
+        for (stage, insts) in self.stages[lo..hi].iter_mut().enumerate() {
             if !phv.any_active() {
                 break;
             }
             let input = phv.clone();
-            for inst in stage.iter_mut() {
+            for inst in insts.iter_mut() {
                 match inst {
                     Instance::K(m) => m.execute(&input, phv),
                     Instance::H(m) => m.execute(&input, phv),
@@ -902,28 +851,7 @@ impl Switch {
                     Instance::R(m) => m.execute(&input, phv),
                 }
             }
-        }
-    }
-
-    /// `newton_init` classification (debug tracing).
-    pub(crate) fn classify_for_debug(&self, pkt: &Packet) -> Vec<(QueryId, u32)> {
-        self.init.classify(pkt)
-    }
-
-    /// Stage count (debug tracing).
-    pub(crate) fn stage_count_for_debug(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Execute one stage with the usual parallel semantics (debug tracing).
-    pub(crate) fn execute_stage_for_debug(&mut self, stage: usize, input: &Phv, out: &mut Phv) {
-        for inst in self.stages[stage].iter_mut() {
-            match inst {
-                Instance::K(m) => m.execute(input, out),
-                Instance::H(m) => m.execute(input, out),
-                Instance::S(m) => m.execute(input, out),
-                Instance::R(m) => m.execute(input, out),
-            }
+            observe(lo + stage, &input, phv);
         }
     }
 
@@ -953,36 +881,29 @@ impl Switch {
     }
 }
 
-/// Walk each lane of the batch straight through its compiled run list,
-/// one lane at a time, with per-stage parallel semantics: every op of a
-/// run reads the lane's frozen stage-entry state and writes its stage-exit
-/// state. A dead lane (`cur.active == 0`) stops at the next stage
-/// boundary, like the reference walk's `any_active` gate. Lanes run in
-/// lane order, so an 𝕊 instance's registers and [`BankStats`] see
-/// operations in exactly the per-packet order; reports are tagged
-/// `(lane, seq)` and re-sorted by the caller.
+/// Walk one lane straight through the compiled stage runs `[lo, hi)`
+/// with per-stage parallel semantics: every op of a run reads the lane's
+/// frozen stage-entry state and writes its stage-exit state. A dead lane
+/// (`cur.active == 0`) stops at the next stage boundary, like the
+/// reference walk's `any_active` gate.
 ///
 /// Free function (not a method) so the caller can hold disjoint borrows
-/// of the switch's plan, stages and scratch at once.
-fn walk_lanes(stages: &mut [Vec<Instance>], plan: &ExecPlan, batch: &mut PhvBatch) {
-    for l in 0..batch.lanes() {
-        let lane = l as u32;
-        let (lo, hi) = plan.dispatch(batch.lane_group[l]).runs;
-        for cursor in lo..hi {
-            if batch.cur[l].active == 0 {
-                break;
-            }
-            let (stage, olo, ohi) = plan.run(cursor);
-            batch.entry[l] = batch.cur[l];
-            let insts = &mut stages[stage as usize];
-            for &(slot, rlo, rhi) in plan.ops(olo, ohi) {
-                let rules = plan.rules(rlo, rhi);
-                match &mut insts[slot as usize] {
-                    Instance::K(m) => m.execute_lane(lane, rules, batch),
-                    Instance::H(m) => m.execute_lane(lane, rules, batch),
-                    Instance::S(m) => m.execute_lane(lane, rules, batch),
-                    Instance::R(m) => m.execute_lane(lane, rules, batch),
-                }
+/// of the switch's plan and stages at once.
+fn walk_lane(stages: &mut [Vec<Instance>], plan: &ExecPlan, (lo, hi): (u32, u32), lane: &mut Lane) {
+    for cursor in lo..hi {
+        if lane.cur.active == 0 {
+            break;
+        }
+        let (stage, olo, ohi) = plan.run(cursor);
+        lane.entry = lane.cur;
+        let insts = &mut stages[stage as usize];
+        for &(slot, rlo, rhi) in plan.ops(olo, ohi) {
+            let rules = plan.rules(rlo, rhi);
+            match &mut insts[slot as usize] {
+                Instance::K(m) => m.execute_lane(rules, lane),
+                Instance::H(m) => m.execute_lane(rules, lane),
+                Instance::S(m) => m.execute_lane(rules, lane),
+                Instance::R(m) => m.execute_lane(rules, lane),
             }
         }
     }

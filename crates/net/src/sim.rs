@@ -127,10 +127,10 @@ impl Network {
         }
     }
 
-    /// Packets per [`Switch::process_batch`] call on the delivery path:
-    /// always 1, since every hop runs [`Switch::process`]. Its only
-    /// caller is `perfbench/`, which logs it and sizes switch scratch
-    /// with it.
+    /// Packets per pipeline call on the delivery path: always 1, since
+    /// every hop runs [`Switch::process`] on one packet. Its only caller
+    /// is `perfbench/`, which logs it and passes it to
+    /// [`Switch::reserve_batch`], a no-op.
     pub fn batch_lanes(&self) -> usize {
         1
     }

@@ -3,12 +3,11 @@
 //!
 //! Properties over random queries, topologies and traces:
 //!
-//! 1. `Switch::process` (plan + scratch) ≡ `Switch::process_reference`
+//! 1. `Switch::process` (compiled plan) ≡ `Switch::process_reference`
 //!    (per-packet dispatch rebuild + per-stage PHV clone), for whole and
 //!    CQE-sliced queries: same reports, same snapshot headers, same
-//!    register state. `Switch::process_batch` ≡ the same reference, at
-//!    arbitrary batch sizes (remainder chunks included), with mixed
-//!    drop/mirror/resume lanes and through the CQE snapshot path.
+//!    register state. `debug::trace_packet`, which runs the reference
+//!    walk, counts the same reports per query as `process` emits.
 //! 2. `Network::deliver_batch` ≡ per-packet `Network::deliver`, for whole
 //!    and CQE-sliced installs: same reports, same snapshot bytes, same
 //!    per-link load counters — also on a second batch through the same,
@@ -22,13 +21,13 @@
 //!    this run-to-run determinism.
 
 use newton::compiler::{compile, compile_sliced, CompilerConfig};
-use newton::dataplane::{BatchOutput, PipelineConfig, SliceInfo, Switch};
+use newton::dataplane::debug::trace_packet;
+use newton::dataplane::{PipelineConfig, SliceInfo, Switch};
 use newton::net::{Network, NodeId, Topology};
 use newton::packet::Field;
-use newton::packet::{Packet, PacketBuilder, Protocol, SnapshotHeader, TcpFlags};
+use newton::packet::{Packet, PacketBuilder, Protocol, TcpFlags};
 use newton::query::ast::{CmpOp, Query, ReduceFunc};
 use newton::query::QueryBuilder;
-use newton::telemetry::NoopSink;
 use proptest::prelude::*;
 
 /// Packets from a small universe so counts actually accumulate.
@@ -203,10 +202,17 @@ proptest! {
             rulesets.push(compiled.rules);
         }
         for pkt in &stream {
+            // The tracer walks a clone holding the state `process` is
+            // about to see, so its per-query report counts must match.
+            let traces = trace_packet(&planned, pkt);
             let a = planned.process(pkt, None);
             let b = reference.process_reference(pkt, None);
             prop_assert_eq!(&a.reports, &b.reports, "reports diverged on {:?}", pkt);
             prop_assert_eq!(a.snapshot, b.snapshot, "snapshot diverged on {:?}", pkt);
+            for t in &traces {
+                let emitted = a.reports.iter().filter(|r| r.query == t.query).count();
+                prop_assert_eq!(t.reports, emitted, "query {} traced {}", t.query, t);
+            }
         }
         for rules in &rulesets {
             assert_registers_eq(&planned, &reference, rules);
@@ -250,101 +256,6 @@ proptest! {
                 prop_assert_eq!(a.snapshot, b.snapshot, "hop {} snapshot diverged", i);
                 sp_a = a.snapshot;
                 sp_b = b.snapshot;
-            }
-        }
-        for i in 0..n {
-            assert_registers_eq(&planned[i], &reference[i], &sliced.slices[i]);
-        }
-    }
-
-    #[test]
-    fn process_batch_matches_reference_whole(
-        specs in prop::collection::vec(arb_query(), 1..3),
-        stream in arb_stream(),
-        batch_size in 1usize..40,
-    ) {
-        // The batched SoA path at arbitrary batch sizes — stream lengths
-        // are rarely multiples of `batch_size`, so remainder chunks are
-        // exercised constantly. Drop/mirror lanes arise from the random
-        // queries' result filters and distinct StopBranch rules. The walk
-        // must match the scalar reference bit for bit.
-        let mut planned = Switch::new(pipeline());
-        let mut reference = Switch::new(pipeline());
-        let mut rulesets = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let compiled = compile(&build(spec, "prop"), i as u32 + 1, &compiler_cfg());
-            planned.install(&compiled.rules).unwrap();
-            reference.install(&compiled.rules).unwrap();
-            rulesets.push(compiled.rules);
-        }
-        let mut sink = NoopSink;
-        let mut bout = BatchOutput::default();
-        for chunk in stream.chunks(batch_size) {
-            let tuples: Vec<(&Packet, Option<SnapshotHeader>)> =
-                chunk.iter().map(|p| (p, None)).collect();
-            planned.process_batch(&tuples, &mut sink, &mut bout);
-            let mut want_reports = Vec::new();
-            let mut want_snapshots = Vec::new();
-            for (i, pkt) in chunk.iter().enumerate() {
-                let o = reference.process_reference(pkt, None);
-                want_reports.extend(o.reports.into_iter().map(|r| (i as u32, r)));
-                want_snapshots.push(o.snapshot);
-            }
-            prop_assert_eq!(&bout.reports, &want_reports, "reports diverged in a chunk");
-            prop_assert_eq!(&bout.snapshots, &want_snapshots, "snapshots diverged in a chunk");
-        }
-        for rules in &rulesets {
-            assert_registers_eq(&planned, &reference, rules);
-        }
-    }
-
-    #[test]
-    fn process_batch_matches_reference_sliced_cqe(
-        spec in arb_query(),
-        stream in arb_stream(),
-        budget in 2usize..5,
-        batch_size in 1usize..40,
-    ) {
-        // CQE through the batch path: whole batches traverse the sliced
-        // chain hop by hop, resume lanes carrying each packet's snapshot
-        // header (live cursors, DEAD markers, and pass-throughs mixed in
-        // one batch).
-        let sliced = compile_sliced(&build(&spec, "prop"), 1, &compiler_cfg(), budget);
-        let n = sliced.slice_count();
-        prop_assume!(n >= 2);
-        let mut planned: Vec<Switch> = (0..n).map(|_| Switch::new(pipeline())).collect();
-        let mut reference: Vec<Switch> = (0..n).map(|_| Switch::new(pipeline())).collect();
-        for i in 0..n {
-            let info = SliceInfo {
-                index: i as u8,
-                total: n as u8,
-                capture_set: sliced.capture_sets[i],
-                restore_set: if i == 0 { sliced.capture_sets[0] } else { sliced.capture_sets[i - 1] },
-                stages: (0, 12),
-            };
-            planned[i].install(&sliced.slices[i]).unwrap();
-            planned[i].set_slice(1, info).unwrap();
-            reference[i].install(&sliced.slices[i]).unwrap();
-            reference[i].set_slice(1, info).unwrap();
-        }
-        let mut sink = NoopSink;
-        let mut bout = BatchOutput::default();
-        for chunk in stream.chunks(batch_size) {
-            let mut sp_a: Vec<Option<SnapshotHeader>> = vec![None; chunk.len()];
-            let mut sp_b = sp_a.clone();
-            for i in 0..n {
-                let tuples: Vec<(&Packet, Option<SnapshotHeader>)> =
-                    chunk.iter().zip(&sp_a).map(|(p, sp)| (p, *sp)).collect();
-                planned[i].process_batch(&tuples, &mut sink, &mut bout);
-                let mut want_reports = Vec::new();
-                for (j, pkt) in chunk.iter().enumerate() {
-                    let o = reference[i].process_reference(pkt, sp_b[j].as_ref());
-                    want_reports.extend(o.reports.into_iter().map(|r| (j as u32, r)));
-                    sp_b[j] = o.snapshot;
-                }
-                prop_assert_eq!(&bout.reports, &want_reports, "hop {} reports diverged", i);
-                prop_assert_eq!(&bout.snapshots, &sp_b, "hop {} snapshots diverged", i);
-                sp_a.copy_from_slice(&bout.snapshots);
             }
         }
         for i in 0..n {
