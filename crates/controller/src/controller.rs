@@ -513,27 +513,16 @@ impl Controller {
                 continue;
             }
             switches += 1;
-            let mut sw_rules = 0usize;
-            // A switch holding several slices stacks them at disjoint
-            // stage offsets within its pipeline.
-            let mut offset = 0usize;
-            for &c in slices {
-                let len = stage_counts[c];
-                let slice = rulesets[c].shift_stages(offset);
-                sw_rules += slice.total_rule_count();
-                net.switch_mut(sw_id).install(&slice)?;
-                net.switch_mut(sw_id).add_slice(
-                    id,
-                    SliceInfo {
-                        index: c as u8,
-                        total: placement.slice_count as u8,
-                        capture_set: captures[c],
-                        restore_set: if c == 0 { captures[0] } else { captures[c - 1] },
-                        stages: (offset, offset + len),
-                    },
-                )?;
-                offset += len;
-            }
+            let add = stack_slices(
+                slices.iter().copied(),
+                0,
+                placement.slice_count,
+                rulesets,
+                stage_counts,
+                captures,
+            );
+            let sw_rules: usize = add.iter().map(|(rules, _)| rules.total_rule_count()).sum();
+            net.switch_mut(sw_id).apply_slices(id, &[], &add)?;
             total_rules += sw_rules;
             channel.install(sw_rules);
             max_delay = max_delay.max(timing.install_ms(sw_rules));
@@ -788,20 +777,17 @@ impl Controller {
             }
             // Stack offsets exactly as apply_placement would, in both the
             // old and the new layout, and collect the slices whose
-            // installed image must change.
+            // installed image must change. One switch call then clears
+            // every changed slice before installing any, since a growing
+            // slice may overlap a shrinking neighbor's old stage range.
             let mut old_off = 0usize;
             let mut new_off = 0usize;
-            let mut changed: Vec<(usize, SliceInfo)> = Vec::new();
+            let mut remove: Vec<u8> = Vec::new();
+            let mut add: Vec<(RuleSet, SliceInfo)> = Vec::new();
             for &c in slices {
                 let old_len = prior.stage_counts[c];
                 let new_len = stage_counts[c];
-                let info = SliceInfo {
-                    index: c as u8,
-                    total: placement.slice_count as u8,
-                    capture_set: captures[c],
-                    restore_set: if c == 0 { captures[0] } else { captures[c - 1] },
-                    stages: (new_off, new_off + new_len),
-                };
+                let info = slice_info(c, placement.slice_count, captures, new_off, new_len);
                 let artifacts_same = old_off == new_off
                     && old_len == new_len
                     && prior.captures[c] == captures[c]
@@ -812,36 +798,25 @@ impl Controller {
                 // exactly as the from-scratch path would.
                 let held = net.switch(sw_id).assigned_slices(id).contains(&info);
                 if !(artifacts_same && held) {
-                    changed.push((c, info));
+                    remove.push(c as u8);
+                    add.push((rulesets[c].shift_stages(new_off), info));
                 }
                 old_off += old_len;
                 new_off += new_len;
             }
-            if changed.is_empty() {
+            if add.is_empty() {
                 continue;
             }
-            // Two passes: clear every changed slice first, then install —
-            // a growing slice may overlap a shrinking neighbor's old
-            // stage range, so removals must all land before installs.
-            let mut removed = 0usize;
-            for &(c, _) in &changed {
-                removed += net.switch_mut(sw_id).remove_slice(id, c as u8);
-            }
-            let mut installed = 0usize;
-            for &(c, info) in &changed {
-                let slice = rulesets[c].shift_stages(info.stages.0);
-                installed += slice.total_rule_count();
-                let pushed = net
-                    .switch_mut(sw_id)
-                    .install(&slice)
-                    .and_then(|()| net.switch_mut(sw_id).add_slice(id, info));
-                if let Err(e) = pushed {
+            let installed: usize = add.iter().map(|(rules, _)| rules.total_rule_count()).sum();
+            let removed = match net.switch_mut(sw_id).apply_slices(id, &remove, &add) {
+                Ok(removed) => removed,
+                Err(e) => {
                     // Whole-or-absent: scrub the query everywhere and let
                     // the caller restore the prior artifacts.
                     Self::scrub(&mut self.channel, net, id);
                     return Err(e);
                 }
-            }
+            };
             let mut sw_delay = 0.0;
             if removed > 0 {
                 self.channel.remove(removed);
@@ -949,36 +924,17 @@ impl Controller {
                 if missing.is_empty() {
                     continue;
                 }
-                let mut offset = have.iter().map(|i| i.stages.1).max().unwrap_or(0);
-                let mut sw_rules = 0usize;
-                let mut failed = false;
-                for c in missing {
-                    let len = entry.stage_counts[c];
-                    let slice = entry.slices[c].shift_stages(offset);
-                    sw_rules += slice.total_rule_count();
-                    let pushed = net.switch_mut(sw_id).install(&slice).and_then(|()| {
-                        net.switch_mut(sw_id).add_slice(
-                            id,
-                            SliceInfo {
-                                index: c as u8,
-                                total: entry.placement.slice_count as u8,
-                                capture_set: entry.captures[c],
-                                restore_set: if c == 0 {
-                                    entry.captures[0]
-                                } else {
-                                    entry.captures[c - 1]
-                                },
-                                stages: (offset, offset + len),
-                            },
-                        )
-                    });
-                    if pushed.is_err() {
-                        failed = true;
-                        break;
-                    }
-                    offset += len;
-                }
-                if failed {
+                let offset = have.iter().map(|i| i.stages.1).max().unwrap_or(0);
+                let add = stack_slices(
+                    missing,
+                    offset,
+                    entry.placement.slice_count,
+                    &entry.slices,
+                    &entry.stage_counts,
+                    &entry.captures,
+                );
+                let sw_rules: usize = add.iter().map(|(rules, _)| rules.total_rule_count()).sum();
+                if net.switch_mut(sw_id).apply_slices(id, &[], &add).is_err() {
                     // The switch can't take the query back consistently
                     // (capacity reclaimed by others, slice-cursor clash);
                     // drop whatever of the query it held so it is either
@@ -1005,6 +961,40 @@ impl Controller {
     }
 }
 
+/// The assignment of slice `c` of a `total`-slice query laid out at stages
+/// `[offset, offset + len)`: it snapshots into its capture set and restores
+/// the previous slice's.
+fn slice_info(c: usize, total: usize, captures: &[SetId], offset: usize, len: usize) -> SliceInfo {
+    SliceInfo {
+        index: c as u8,
+        total: total as u8,
+        capture_set: captures[c],
+        restore_set: captures[c.saturating_sub(1)],
+        stages: (offset, offset + len),
+    }
+}
+
+/// Slices `slices` of a `total`-slice query as one switch holds them: each
+/// rule set shifted to its own stage range, the ranges stacked from
+/// `offset` up, each paired with its assignment.
+fn stack_slices(
+    slices: impl IntoIterator<Item = usize>,
+    mut offset: usize,
+    total: usize,
+    rulesets: &[RuleSet],
+    stage_counts: &[usize],
+    captures: &[SetId],
+) -> Vec<(RuleSet, SliceInfo)> {
+    slices
+        .into_iter()
+        .map(|c| {
+            let info = slice_info(c, total, captures, offset, stage_counts[c]);
+            offset = info.stages.1;
+            (rulesets[c].shift_stages(info.stages.0), info)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1019,6 +1009,17 @@ mod tests {
 
     fn controller() -> Controller {
         Controller::new(CompilerConfig::default(), 42)
+    }
+
+    /// Rule-channel totals with no in-place modifications.
+    fn channel(installed: u64, removed: u64, messages: u64, bytes: u64) -> ChannelStats {
+        ChannelStats {
+            rules_installed: installed,
+            rules_removed: removed,
+            rules_modified: 0,
+            messages,
+            bytes,
+        }
     }
 
     #[test]
@@ -1119,6 +1120,9 @@ mod tests {
         assert_eq!(net.total_rules(), baseline_total, "rollback must restore the network");
         assert_eq!(net.switch(0).total_rule_count(), baseline_sw0);
         assert!(ctl.installed().is_empty());
+        // Switch 0's batch went out; the rollback removed it again.
+        // Switch 1 rolled itself back before anything was metered.
+        assert_eq!(ctl.channel_stats(), channel(21, 21, 2, 1728));
 
         // The controller remains usable: a small query still installs.
         let ok = ctl.install(&catalog::q1_new_tcp(), &mut net, 12);
@@ -1143,6 +1147,7 @@ mod tests {
         let old = ctl.install(&catalog::q1_new_tcp(), &mut net, 12).expect("q1 fits");
         let baseline_total = net.total_rules();
         let baseline_sw0 = net.switch(0).total_rule_count();
+        assert_eq!(ctl.channel_stats(), channel(18, 0, 2, 1200));
 
         let result = ctl.update(old.id, &catalog::q2_ssh_brute(), &mut net, 12);
         let err = result.expect_err("switch 1 must reject the bigger query at capacity 3");
@@ -1153,6 +1158,8 @@ mod tests {
         assert!(ctl.installed().contains_key(&old.id), "old query must survive the failure");
         assert_eq!(net.total_rules(), baseline_total, "network restored to pre-update state");
         assert_eq!(net.switch(0).total_rule_count(), baseline_sw0);
+        // The failed push, its scrub and the restore all cross the channel.
+        assert_eq!(ctl.channel_stats(), channel(57, 30, 7, 4296));
 
         // The restored query still detects end-to-end.
         let mut reports = 0;
@@ -1173,6 +1180,34 @@ mod tests {
         let swapped = ctl.update(old.id, &tighter, &mut net, 12).expect("small update fits");
         assert_eq!(swapped.id, old.id, "an update keeps the query's id");
         assert!(ctl.installed().contains_key(&old.id));
+    }
+
+    #[test]
+    fn slice_conflict_rolls_back_unassigned_rules_too() {
+        // chain(4) with a 6-stage budget cuts Q4 into two slices: slice 0
+        // on both edges, slice 1 on the two inner switches. A renamed copy
+        // installs slice 0 on switch 0, then switch 1 takes its slice-1
+        // rules but rejects the assignment: cursor 1 already resumes the
+        // first copy there. The rollback must scrub both switches,
+        // including the rules switch 1 accepted but never assigned.
+        let mut ctl = controller();
+        let mut net = net(4);
+        ctl.install(&catalog::q4_port_scan(), &mut net, 6).unwrap();
+        assert_eq!(ctl.channel_stats(), channel(42, 0, 4, 2784));
+        assert_eq!(net.total_rules(), 42);
+
+        let mut twin = catalog::q4_port_scan();
+        twin.name = "q4_twin".into();
+        let err = ctl.install(&twin, &mut net, 6).unwrap_err();
+        assert!(
+            matches!(err, InstallError::Switch(SwitchError::SliceConflict { index: 1, .. })),
+            "expected a cursor-1 conflict, got {err:?}"
+        );
+        // +11 installed on switch 0 (one batch); 11 + 10 removed from
+        // switches 0 and 1 (two batches).
+        assert_eq!(ctl.channel_stats(), channel(53, 21, 7, 3896));
+        assert_eq!(net.total_rules(), 42, "rollback must restore the network");
+        assert_eq!(ctl.installed().len(), 1);
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! Newton's data plane is a *fixed* engine reconfigured only by table-rule
 //! updates (§4.1) — so the per-packet path should never re-derive dispatch
 //! state from the mutable configuration. This module mirrors that split in
-//! the simulator: every configuration mutation (`install`, `remove_query`,
-//! `add_slice`, `set_slice`) recompiles a flattened, immutable [`ExecPlan`];
+//! the simulator: every configuration call that changes a switch
+//! (`install`, `remove_query`, `add_slice`, `set_slice`, `apply_slices`)
+//! ends in one eager recompile of a flattened, immutable [`ExecPlan`];
 //! [`Switch::process`](crate::Switch::process) only *reads* the plan,
 //! walking each of the packet's lanes through it with no heap allocation
 //! for dispatch.
+//!
+//! A recompile is one pass over the switch's tables that groups every
+//! module rule's `(stage, slot, index)` by query, followed by one cut of
+//! each dispatch's stage range out of its query's group. Its cost grows
+//! with the rules held plus the plan size, not with their product.
 //!
 //! The plan pre-resolves four things the seed path recomputed per packet:
 //!
@@ -44,7 +50,7 @@
 use crate::init::InitTable;
 use crate::phv::{MetadataSet, Report, SetId, GLOBAL_INIT};
 use crate::rules::QueryId;
-use crate::switch::SliceInfo;
+use crate::switch::{Instance, SliceInfo};
 use newton_packet::{FieldVector, SnapshotHeader};
 use newton_sketch::FastMap;
 
@@ -104,37 +110,37 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compile the plan from the current configuration. `stage_slots[s]`
-    /// is the number of module slots in stage `s`; `rules_for(stage, slot,
-    /// query, out)` appends the rule-table indices (in table order) of that
-    /// instance's rules belonging to the query.
-    pub fn build(
+    /// Compile the plan from a switch's configuration: its `newton_init`
+    /// table, its slice assignments and its module instances per stage.
+    ///
+    /// One pass over the module tables groups every rule by query
+    /// (`RulesByQuery`); each dispatch then cuts its stage range out of
+    /// its own query's group, so no table is scanned once per dispatch.
+    pub(crate) fn build(
         init: &InitTable,
         slices: &FastMap<QueryId, Vec<SliceInfo>>,
-        stage_slots: &[usize],
-        rules_for: impl Fn(usize, usize, QueryId, &mut Vec<u32>),
+        stages: &[Vec<Instance>],
     ) -> ExecPlan {
+        let held = RulesByQuery::new(stages);
         let mut runs_pool: Vec<(u32, u32, u32)> = Vec::new();
         let mut ops_pool: Vec<(u32, u32, u32)> = Vec::new();
         let mut rules_pool: Vec<u32> = Vec::new();
-        let mut compile = |query: QueryId, range: (usize, usize)| -> (u32, u32) {
-            let hi = range.1.min(stage_slots.len());
-            let lo = range.0.min(hi);
-            let runs_start = runs_pool.len();
-            for (stage, &slot_count) in stage_slots.iter().enumerate().take(hi).skip(lo) {
-                let start = ops_pool.len();
-                for slot in 0..slot_count {
-                    let rlo = rules_pool.len();
-                    rules_for(stage, slot, query, &mut rules_pool);
-                    if rules_pool.len() > rlo {
-                        ops_pool.push((slot as u32, rlo as u32, rules_pool.len() as u32));
-                    }
+        let mut compile = |query: QueryId, (lo, hi): (usize, usize)| -> (u32, u32) {
+            // The range's rules: one run per stage, one op per slot.
+            let runs_start = runs_pool.len() as u32;
+            let rules = held.of(query);
+            let from = rules.partition_point(|r| (r.0 as usize) < lo);
+            let to = rules.partition_point(|r| (r.0 as usize) < hi).max(from);
+            for stage_rules in rules[from..to].chunk_by(|a, b| a.0 == b.0) {
+                let ops_lo = ops_pool.len() as u32;
+                for slot_rules in stage_rules.chunk_by(|a, b| a.1 == b.1) {
+                    let rlo = rules_pool.len() as u32;
+                    rules_pool.extend(slot_rules.iter().map(|r| r.2));
+                    ops_pool.push((slot_rules[0].1, rlo, rules_pool.len() as u32));
                 }
-                if ops_pool.len() > start {
-                    runs_pool.push((stage as u32, start as u32, ops_pool.len() as u32));
-                }
+                runs_pool.push((stage_rules[0].0, ops_lo, ops_pool.len() as u32));
             }
-            (runs_start as u32, runs_pool.len() as u32)
+            (runs_start, runs_pool.len() as u32)
         };
 
         let mut dispatches: Vec<SliceDispatch> = Vec::new();
@@ -226,6 +232,53 @@ impl ExecPlan {
                 }
             }
         }
+    }
+}
+
+/// Every module rule's `(stage, slot, index)`, grouped by query with one
+/// counting sort over a switch's tables. The sort is stable, so each
+/// query's group keeps stage, slot and table order.
+struct RulesByQuery {
+    /// Dense group number of every query holding a module rule.
+    group: FastMap<QueryId, u32>,
+    /// Group `g` is `rules[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    rules: Vec<(u32, u32, u32)>,
+}
+
+impl RulesByQuery {
+    fn new(stages: &[Vec<Instance>]) -> Self {
+        let mut group: FastMap<QueryId, u32> = FastMap::default();
+        let mut tagged: Vec<(u32, (u32, u32, u32))> = Vec::new();
+        for (stage, insts) in stages.iter().enumerate() {
+            for (slot, inst) in insts.iter().enumerate() {
+                inst.for_each_rule(|idx, query| {
+                    let next = group.len() as u32;
+                    let g = *group.entry(query).or_insert(next);
+                    tagged.push((g, (stage as u32, slot as u32, idx)));
+                });
+            }
+        }
+        let mut starts = vec![0u32; group.len() + 1];
+        for &(g, _) in &tagged {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut fill = starts.clone();
+        let mut rules = vec![(0, 0, 0); tagged.len()];
+        for (g, at) in tagged {
+            rules[fill[g as usize] as usize] = at;
+            fill[g as usize] += 1;
+        }
+        RulesByQuery { group, starts, rules }
+    }
+
+    /// `query`'s rules, in stage, slot and table order.
+    fn of(&self, query: QueryId) -> &[(u32, u32, u32)] {
+        let Some(&g) = self.group.get(&query) else { return &[] };
+        &self.rules[self.starts[g as usize] as usize..self.starts[g as usize + 1] as usize]
     }
 }
 
@@ -383,7 +436,7 @@ mod tests {
         for r in &rules {
             init.install(r.clone());
         }
-        let plan = ExecPlan::build(&init, &FastMap::default(), &[], |_, _, _, _| {});
+        let plan = ExecPlan::build(&init, &FastMap::default(), &[]);
 
         let packets = [
             PacketBuilder::new().tcp_flags(TcpFlags::SYN).dst_port(80).build(),

@@ -111,19 +111,19 @@ impl Instance {
         }
     }
 
-    /// Append the table indices of this instance's rules belonging to
-    /// `query`, in table order (plan compilation).
-    fn push_rule_indices(&self, query: QueryId, out: &mut Vec<u32>) {
-        fn collect<R>(rules: &[R], out: &mut Vec<u32>, is_query: impl Fn(&R) -> bool) {
-            out.extend(
-                rules.iter().enumerate().filter(|(_, r)| is_query(r)).map(|(i, _)| i as u32),
-            );
+    /// Call `f(index, query)` for every rule of the table, in table order
+    /// (plan compilation).
+    pub(crate) fn for_each_rule(&self, mut f: impl FnMut(u32, QueryId)) {
+        fn each<R>(rules: &[R], query: impl Fn(&R) -> QueryId, f: &mut impl FnMut(u32, QueryId)) {
+            for (i, r) in rules.iter().enumerate() {
+                f(i as u32, query(r));
+            }
         }
         match self {
-            Instance::K(m) => collect(m.rules(), out, |r| r.query == query),
-            Instance::H(m) => collect(m.rules(), out, |r| r.query == query),
-            Instance::S(m) => collect(m.rules(), out, |r| r.query == query),
-            Instance::R(m) => collect(m.rules(), out, |r| r.query == query),
+            Instance::K(m) => each(m.rules(), |r| r.query, &mut f),
+            Instance::H(m) => each(m.rules(), |r| r.query, &mut f),
+            Instance::S(m) => each(m.rules(), |r| r.query, &mut f),
+            Instance::R(m) => each(m.rules(), |r| r.query, &mut f),
         }
     }
 }
@@ -255,14 +255,13 @@ impl Switch {
         }
     }
 
-    /// Recompile the execution plan from the current configuration.
+    /// Recompile the execution plan from the current configuration, in
+    /// one pass over the tables (see [`ExecPlan`]). A configuration call
+    /// that changes the switch rebuilds once, before it returns, so the
+    /// plan is never stale; the controller hands each switch its share of
+    /// an operation as one [`apply_slices`](Self::apply_slices) call.
     fn rebuild_plan(&mut self) {
-        let stage_slots: Vec<usize> = self.stages.iter().map(Vec::len).collect();
-        let stages = &self.stages;
-        self.plan =
-            ExecPlan::build(&self.init, &self.slices, &stage_slots, |stage, slot, q, out| {
-                stages[stage][slot].push_rule_indices(q, out)
-            });
+        self.plan = ExecPlan::build(&self.init, &self.slices, &self.stages);
     }
 
     pub fn config(&self) -> &PipelineConfig {
@@ -282,14 +281,20 @@ impl Switch {
     /// Install a compiled rule set. Atomic: on error nothing remains
     /// installed.
     pub fn install(&mut self, rules: &RuleSet) -> Result<(), SwitchError> {
-        let query = Self::ruleset_query(rules);
+        let result = self.install_rules(rules);
+        self.rebuild_plan();
+        result
+    }
+
+    /// [`install`](Self::install) minus the plan rebuild: on error every
+    /// rule and slice assignment of the rule set's query is dropped again.
+    fn install_rules(&mut self, rules: &RuleSet) -> Result<(), SwitchError> {
         let result = self.try_install(rules);
         if result.is_err() {
-            if let Some(q) = query {
-                self.remove_query(q);
+            if let Some(q) = Self::ruleset_query(rules) {
+                self.drop_query(q);
             }
         }
-        self.rebuild_plan();
         result
     }
 
@@ -367,22 +372,24 @@ impl Switch {
     }
 
     /// Remove every rule of a query; returns the number of rules removed
-    /// (init entries included).
+    /// (init entries included). A switch that held nothing of the query
+    /// keeps its plan.
     pub fn remove_query(&mut self, query: QueryId) -> usize {
-        let mut removed = self.init.remove_query(query);
-        for stage in &mut self.stages {
-            for inst in stage {
-                removed += match inst {
-                    Instance::K(m) => m.remove_query(query),
-                    Instance::H(m) => m.remove_query(query),
-                    Instance::S(m) => m.remove_query(query),
-                    Instance::R(m) => m.remove_query(query),
-                };
-            }
+        let (removed, held) = self.drop_query(query);
+        if held {
+            self.rebuild_plan();
         }
-        self.slices.remove(&query);
-        self.rebuild_plan();
         removed
+    }
+
+    /// Drop every rule and the slice assignments of `query`, leaving the
+    /// plan alone. Returns the rules removed and whether the switch held
+    /// anything of the query.
+    fn drop_query(&mut self, query: QueryId) -> (usize, bool) {
+        let removed =
+            self.init.remove_query(query) + self.remove_rules_in_stages(query, 0, usize::MAX);
+        let assigned = self.slices.remove(&query).is_some();
+        (removed, removed > 0 || assigned)
     }
 
     /// Find an assignment `slice` would clash with: a later slice resuming
@@ -410,11 +417,17 @@ impl Switch {
     /// several slices of one query at disjoint stage ranges). Rejects
     /// assignments that would make snapshot-cursor dispatch ambiguous.
     pub fn add_slice(&mut self, query: QueryId, slice: SliceInfo) -> Result<(), SwitchError> {
+        self.assign_slice(query, slice)?;
+        self.rebuild_plan();
+        Ok(())
+    }
+
+    /// [`add_slice`](Self::add_slice) minus the plan rebuild.
+    fn assign_slice(&mut self, query: QueryId, slice: SliceInfo) -> Result<(), SwitchError> {
         if let Some(existing) = self.slice_conflict(query, slice, false) {
             return Err(SwitchError::SliceConflict { query, index: slice.index, existing });
         }
         self.slices.entry(query).or_default().push(slice);
-        self.rebuild_plan();
         Ok(())
     }
 
@@ -429,16 +442,45 @@ impl Switch {
         Ok(())
     }
 
-    /// Remove ONE CQE slice of `query` — its module rules (the query's
-    /// rules within the slice's stage range), its `newton_init` entries
-    /// when it is slice 0, and the [`SliceInfo`] assignment — leaving the
-    /// query's other slices untouched. This is the unit the controller's
-    /// diff-install path replaces without a full remove+reinstall.
-    /// Returns the number of rules removed (0 when the slice is not held).
+    /// Change `query`'s slices on this switch in one configuration step,
+    /// the unit the controller issues once per touched switch and
+    /// operation: drop the held slices indexed by `remove`, then install
+    /// each `(rules, slice)` pair of `add` (the rule set, then its
+    /// assignment), then rebuild the plan once. Returns the rules removed;
+    /// an index in `remove` that is not held removes nothing.
     ///
-    /// Sound because slices of one query occupy disjoint stage ranges, so
-    /// a module instance only ever hosts rules of one slice per query.
-    pub fn remove_slice(&mut self, query: QueryId, index: u8) -> usize {
+    /// Dropping a slice removes the query's module rules within the
+    /// slice's stage range, its `newton_init` entries when it is slice 0,
+    /// and the assignment, leaving the query's other slices untouched.
+    /// That is sound because slices of one query occupy disjoint stage
+    /// ranges, so a module instance only ever hosts rules of one slice per
+    /// query.
+    ///
+    /// Errors stop at the failing pair with the effects of the same
+    /// sequence of single calls: a rejected rule set leaves nothing of its
+    /// query on the switch, as in [`install`](Self::install); a rejected
+    /// assignment ([`SwitchError::SliceConflict`]) leaves its rule set
+    /// installed and unassigned for the caller to clean up. The plan is
+    /// rebuilt before any return.
+    pub fn apply_slices(
+        &mut self,
+        query: QueryId,
+        remove: &[u8],
+        add: &[(RuleSet, SliceInfo)],
+    ) -> Result<usize, SwitchError> {
+        let removed = remove.iter().map(|&index| self.drop_slice(query, index)).sum();
+        let result = add.iter().try_for_each(|(rules, slice)| {
+            self.install_rules(rules)?;
+            self.assign_slice(query, *slice)
+        });
+        self.rebuild_plan();
+        result.map(|()| removed)
+    }
+
+    /// Drop slice `index` of `query` (see
+    /// [`apply_slices`](Self::apply_slices)), leaving the plan alone.
+    /// Returns the rules removed.
+    fn drop_slice(&mut self, query: QueryId, index: u8) -> usize {
         let Some(pos) =
             self.slices.get(&query).and_then(|v| v.iter().position(|i| i.index == index))
         else {
@@ -454,7 +496,6 @@ impl Switch {
         if infos.is_empty() {
             self.slices.remove(&query);
         }
-        self.rebuild_plan();
         removed
     }
 

@@ -6,8 +6,10 @@
 //! 1. `Switch::process` (compiled plan) ≡ `Switch::process_reference`
 //!    (per-packet dispatch rebuild + per-stage PHV clone), for whole and
 //!    CQE-sliced queries: same reports, same snapshot headers, same
-//!    register state. `debug::trace_packet`, which runs the reference
-//!    walk, counts the same reports per query as `process` emits.
+//!    register state, also after random removals and re-installs have
+//!    compacted the tables under other queries' rules.
+//!    `debug::trace_packet`, which runs the reference walk, counts the
+//!    same reports per query as `process` emits.
 //! 2. `Network::deliver_batch` ≡ per-packet `Network::deliver`, for whole
 //!    and CQE-sliced installs: same reports, same snapshot bytes, same
 //!    per-link load counters — also on a second batch through the same,
@@ -190,16 +192,37 @@ proptest! {
     #[test]
     fn planned_process_matches_reference_whole(
         specs in prop::collection::vec(arb_query(), 1..3),
+        churn in prop::collection::vec((0usize..8, any::<bool>(), 1u64..25), 0..5),
         stream in arb_stream(),
     ) {
         let mut planned = Switch::new(pipeline());
         let mut reference = Switch::new(pipeline());
-        let mut rulesets = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let compiled = compile(&build(spec, "prop"), i as u32 + 1, &compiler_cfg());
+        let mut live = Vec::new();
+        let mut next_id = 1u32;
+        let mut install = |spec: QuerySpec, planned: &mut Switch, reference: &mut Switch| {
+            let id = next_id;
+            next_id += 1;
+            let compiled = compile(&build(&spec, "prop"), id, &compiler_cfg());
             planned.install(&compiled.rules).unwrap();
             reference.install(&compiled.rules).unwrap();
-            rulesets.push(compiled.rules);
+            (id, spec, compiled.rules)
+        };
+        for spec in &specs {
+            live.push(install(spec.clone(), &mut planned, &mut reference));
+        }
+        // A removal compacts the tables, shifting the rule indices of the
+        // queries installed after it; a re-install appends a threshold
+        // variant under a fresh id. The plan must follow both.
+        for &(pick, reinstall, threshold) in &churn {
+            if live.is_empty() {
+                break;
+            }
+            let (id, spec, _) = live.remove(pick % live.len());
+            planned.remove_query(id);
+            reference.remove_query(id);
+            if reinstall {
+                live.push(install(QuerySpec { threshold, ..spec }, &mut planned, &mut reference));
+            }
         }
         for pkt in &stream {
             // The tracer walks a clone holding the state `process` is
@@ -214,7 +237,7 @@ proptest! {
                 prop_assert_eq!(t.reports, emitted, "query {} traced {}", t.query, t);
             }
         }
-        for rules in &rulesets {
+        for (_, _, rules) in &live {
             assert_registers_eq(&planned, &reference, rules);
         }
     }
