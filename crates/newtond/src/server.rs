@@ -14,6 +14,15 @@
 //! summaries during `run`). The journal is flushed incrementally and
 //! truncated once drained, so a long-lived daemon holds O(subscriber
 //! backlog) telemetry, not O(lifetime).
+//!
+//! The threads start and stop in one fixed order. The core builds its
+//! system, then starts the acceptor, and only then does
+//! [`Daemon::start`] return. At shutdown the acceptor ends every
+//! connection and joins its thread; the core joins the acceptor and is
+//! the last daemon thread to exit. So once [`Daemon::join`] returns, no
+//! thread of that daemon runs. A process that starts daemons one after
+//! another sees the same thread order each time, so its peak memory
+//! does not depend on which thread of the previous daemon exited last.
 
 use crate::proto::{self, ErrorKind, Op, Request};
 use crate::{json, json::Value};
@@ -27,17 +36,22 @@ use newton::telemetry::QueryId;
 use newton::trace::{ReplayOptions, StreamConfig};
 use newton::{NewtonSystem, RunReport};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Journal events kept buffered after the last subscriber flush before
 /// the core truncates the journal (bounds daemon memory on long
 /// lifetimes).
 const JOURNAL_TRUNCATE_AT: usize = 4096;
+
+/// How long shutdown lets connection threads finish on their own (a
+/// subscriber writing its last events, the requester flushing its
+/// acknowledgement) before it closes their sockets.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// Longest request line, in bytes without the newline, a connection may
 /// send. Requests are a few hundred bytes; a longer line is answered with
@@ -85,9 +99,9 @@ impl Default for DaemonConfig {
 enum Cmd {
     Request {
         req: Request,
-        /// Where the response line goes (the connection's outbox).
+        /// Where the response line goes (this request's reply channel).
         reply: Sender<String>,
-        /// Present on `subscribe`: the same outbox, to be retained by the
+        /// Present on `subscribe`: the same channel, to be retained by the
         /// core as a journal stream sink, plus the connection's in-flight
         /// line counter (the core increments per line queued, the
         /// connection thread decrements per line written to the socket —
@@ -106,49 +120,27 @@ enum Cmd {
 pub struct Daemon {
     addr: SocketAddr,
     core: JoinHandle<()>,
-    acceptor: JoinHandle<()>,
 }
 
 impl Daemon {
     /// Bind `addr` (use port 0 for an OS-assigned port) and start serving.
+    /// Returns once the core thread has built its system and started the
+    /// acceptor.
     pub fn start(cfg: DaemonConfig, addr: &str) -> io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stopping = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = channel::<Cmd>();
-        // One registry for the daemon's lifetime: the core thread feeds
-        // the system/controller/stream families into it, connection
-        // threads feed the connection gauge, and the `metrics` op scrapes
-        // it. Created here (not in the core) because the acceptor needs
-        // the connection gauge before the core thread runs.
-        let registry = MetricsRegistry::new();
-        let connections =
-            registry.gauge("daemon_active_connections", "Open client connections right now");
-
-        let core = {
-            let stopping = Arc::clone(&stopping);
-            let registry = registry.clone();
-            thread::Builder::new()
-                .name("newtond-core".into())
-                .spawn(move || core_loop(cfg, rx, stopping, addr, registry))?
-        };
-        let acceptor = {
-            let stopping = Arc::clone(&stopping);
-            thread::Builder::new().name("newtond-accept".into()).spawn(move || {
-                for conn in listener.incoming() {
-                    if stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(sock) = conn else { continue };
-                    let tx = tx.clone();
-                    let gauge = connections.clone();
-                    let _ = thread::Builder::new()
-                        .name("newtond-conn".into())
-                        .spawn(move || serve_connection(sock, tx, gauge));
-                }
-            })?
-        };
-        Ok(Daemon { addr, core, acceptor })
+        let (ready_tx, ready_rx) = channel::<io::Result<()>>();
+        let core = thread::Builder::new()
+            .name("newtond-core".into())
+            .spawn(move || core_loop(cfg, listener, addr, ready_tx))?;
+        match ready_rx.recv() {
+            Ok(Ok(())) => Ok(Daemon { addr, core }),
+            Ok(Err(e)) => {
+                let _ = core.join();
+                Err(e)
+            }
+            Err(_) => Err(io::Error::other("the core thread died while starting")),
+        }
     }
 
     /// The bound address (read the OS-assigned port here).
@@ -157,9 +149,59 @@ impl Daemon {
     }
 
     /// Wait for the daemon to stop (it stops on a `shutdown` request).
+    /// Every daemon thread has exited when this returns.
     pub fn join(self) {
         let _ = self.core.join();
-        let _ = self.acceptor.join();
+    }
+}
+
+/// The acceptor: a thread per client connection until the core sets
+/// `stopping` and connects once to wake it. Then it shuts the read half
+/// of every open connection, which ends its request loop, waits up to
+/// [`SHUTDOWN_GRACE`] for the connection threads to finish, closes any
+/// socket still open and joins every thread.
+///
+/// It keeps only weak handles on the sockets, so a connection closes as
+/// soon as its own thread lets go of it.
+fn accept_loop(
+    listener: TcpListener,
+    tx: Sender<Cmd>,
+    connections: Gauge,
+    stopping: Arc<AtomicBool>,
+) {
+    let mut open: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if stopping.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(sock) = conn else { continue };
+        open.retain(|(_, thread)| !thread.is_finished());
+        let sock = Arc::new(sock);
+        let handle = Arc::downgrade(&sock);
+        let tx = tx.clone();
+        let gauge = connections.clone();
+        if let Ok(thread) = thread::Builder::new()
+            .name("newtond-conn".into())
+            .spawn(move || serve_connection(sock, tx, gauge))
+        {
+            open.push((handle, thread));
+        }
+    }
+    let shut = |sock: &Weak<TcpStream>, how| {
+        if let Some(sock) = sock.upgrade() {
+            let _ = sock.shutdown(how);
+        }
+    };
+    for (sock, _) in &open {
+        shut(sock, Shutdown::Read);
+    }
+    let deadline = Instant::now() + SHUTDOWN_GRACE;
+    while Instant::now() < deadline && open.iter().any(|(_, thread)| !thread.is_finished()) {
+        thread::sleep(Duration::from_millis(1));
+    }
+    for (sock, thread) in open {
+        shut(&sock, Shutdown::Both);
+        let _ = thread.join();
     }
 }
 
@@ -173,16 +215,17 @@ impl Drop for ConnGuard {
 }
 
 /// Per-connection loop: decode lines, round-trip them through the core.
-/// On `subscribe` the same outbox channel becomes the event stream and
-/// this thread degenerates into a forwarding pump. A line longer than
+/// Each request carries a reply channel of its own, which the core alone
+/// holds, so a request the core drops unanswered (it stopped first) ends
+/// the connection instead of leaving this thread waiting. On `subscribe`
+/// the reply channel becomes the event stream and this thread
+/// degenerates into a forwarding pump. A line longer than
 /// [`MAX_REQUEST_LINE`] is answered and ends the connection.
-fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
+fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
     connections.add(1);
     let _guard = ConnGuard(connections);
-    let Ok(read_half) = sock.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(sock);
-    let (outbox, inbox) = channel::<String>();
+    let mut reader = BufReader::new(&*sock);
+    let mut writer = BufWriter::new(&*sock);
     let pending = Arc::new(AtomicUsize::new(0));
     let mut line = Vec::new();
     loop {
@@ -219,10 +262,11 @@ fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
             fence_tx = Some(ftx);
             frx
         });
+        let (outbox, inbox) = channel::<String>();
         let cmd = Cmd::Request {
             req,
-            reply: outbox.clone(),
             stream: subscribing.then(|| (outbox.clone(), Arc::clone(&pending))),
+            reply: outbox,
             fence,
         };
         if tx.send(cmd).is_err() {
@@ -238,11 +282,7 @@ fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
         }
         if subscribing {
             // One-way from here: forward journal events until the core
-            // drops our sender (shutdown) or the client disconnects. Our
-            // own outbox handle must go first, or recv() never
-            // disconnects — the core's retained clone is the only sender
-            // that should keep the stream open.
-            drop(outbox);
+            // drops its sender (shutdown) or the client disconnects.
             while let Ok(event_line) = inbox.recv() {
                 let wrote = write_line(&mut writer, &event_line);
                 // Decrement only after the socket write: a slow client
@@ -258,7 +298,7 @@ fn serve_connection(sock: TcpStream, tx: Sender<Cmd>, connections: Gauge) {
     }
 }
 
-fn write_line(w: &mut BufWriter<TcpStream>, line: &str) -> io::Result<()> {
+fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
     w.write_all(line.as_bytes())?;
     w.write_all(b"\n")?;
     w.flush()
@@ -335,13 +375,21 @@ fn op_kind(op: &Op) -> &'static str {
     }
 }
 
+/// The core thread: builds the system, starts the acceptor, reports to
+/// `ready`, serves requests until `shutdown`, then stops the acceptor
+/// and joins it (the order is in the module docs).
 fn core_loop(
     cfg: DaemonConfig,
-    rx: Receiver<Cmd>,
-    stopping: Arc<AtomicBool>,
+    listener: TcpListener,
     addr: SocketAddr,
-    registry: MetricsRegistry,
+    ready: Sender<io::Result<()>>,
 ) {
+    // One registry for the daemon's lifetime: the core feeds the
+    // system/controller/stream families into it, connection threads feed
+    // the connection gauge, and the `metrics` op scrapes it.
+    let registry = MetricsRegistry::new();
+    let connections =
+        registry.gauge("daemon_active_connections", "Open client connections right now");
     let mut sys = NewtonSystem::with_config_slots(
         cfg.topology.clone(),
         PipelineConfig::default(),
@@ -362,6 +410,22 @@ fn core_loop(
         registry,
         dm,
     };
+    let (tx, rx) = channel::<Cmd>();
+    let stopping = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let stopping = Arc::clone(&stopping);
+        thread::Builder::new()
+            .name("newtond-accept".into())
+            .spawn(move || accept_loop(listener, tx, connections, stopping))
+    };
+    let acceptor = match acceptor {
+        Ok(acceptor) => acceptor,
+        Err(e) => {
+            let _ = ready.send(Err(e));
+            return;
+        }
+    };
+    let _ = ready.send(Ok(()));
 
     while let Ok(Cmd::Request { req, reply, stream, fence }) = rx.recv() {
         let shutdown = req.op == Op::Shutdown;
@@ -393,17 +457,21 @@ fn core_loop(
             // Wait (bounded) for the requester's connection thread to
             // flush the acknowledgement before tearing everything down.
             if let Some(fence) = fence {
-                let _ = fence.recv_timeout(std::time::Duration::from_secs(5));
+                let _ = fence.recv_timeout(SHUTDOWN_GRACE);
             }
             break;
         }
     }
 
-    // Closing the subscriber senders ends every stream connection; the
-    // dummy connect unblocks the acceptor so it can observe the flag.
+    // Dropping the queue answers every request still in it with a closed
+    // reply channel, and closing the subscriber senders ends every stream
+    // connection; the dummy connect unblocks the acceptor so it can
+    // observe the flag and wind the connections down.
     stopping.store(true, Ordering::SeqCst);
+    drop(rx);
     core.subscribers.clear();
     let _ = TcpStream::connect(addr);
+    let _ = acceptor.join();
 }
 
 /// Push journal events recorded since the last flush to every subscriber,
