@@ -67,7 +67,11 @@ pub struct HModule {
 pub struct SModule {
     rules: Vec<SRule>,
     capacity: usize,
+    /// Empty until the first rule is installed, then `len` registers for
+    /// good: a bank no query has used costs no memory and no reset work.
     registers: Vec<u32>,
+    /// Configured register array length.
+    len: usize,
     stats: BankStats,
     /// `len - 1` when the register array length is a power of two (the
     /// default 4096 is), so the hot index reduction is an `AND` instead of
@@ -248,7 +252,8 @@ impl SModule {
         SModule {
             rules: Vec::new(),
             capacity,
-            registers: vec![0; registers],
+            registers: Vec::new(),
+            len: registers,
             stats: BankStats::default(),
             pow2_mask: if registers.is_power_of_two() { registers - 1 } else { 0 },
         }
@@ -272,22 +277,27 @@ impl SModule {
         if self.rules.len() >= self.capacity {
             return Err(InstallError::CapacityExceeded { capacity: self.capacity });
         }
+        if self.registers.is_empty() {
+            self.registers = vec![0; self.len];
+        }
         self.rules.push(rule);
         Ok(())
     }
 
-    /// Register array length.
+    /// Configured register array length, allocated or not.
     pub fn register_count(&self) -> usize {
-        self.registers.len()
+        self.len
     }
 
-    /// Read a register (tests / analyzer draining).
+    /// Read a register (tests / analyzer draining). A bank that never held
+    /// a rule reads 0 everywhere.
     pub fn register(&self, idx: usize) -> u32 {
-        self.registers[idx % self.registers.len()]
+        self.registers.get(idx % self.len).copied().unwrap_or(0)
     }
 
-    /// Reset all registers (the 100 ms epoch reset). Activity counters
-    /// survive the reset; drain them with [`take_stats`](Self::take_stats).
+    /// Reset all registers (the 100 ms epoch reset); a bank that never held
+    /// a rule has none to reset. Activity counters survive the reset; drain
+    /// them with [`take_stats`](Self::take_stats).
     pub fn clear_registers(&mut self) {
         self.registers.fill(0);
     }
@@ -745,6 +755,43 @@ mod tests {
         assert_eq!(s.stats(), BankStats { insertions: 1, collisions: 1, evictions: 1 });
         s.execute(&input, &mut out); // write 9→5 evicts, max 5→9 evicts again
         assert_eq!(s.stats(), BankStats { insertions: 1, collisions: 3, evictions: 3 });
+    }
+
+    #[test]
+    fn s_registers_allocate_on_the_first_accepted_rule_and_stay() {
+        let rule = |query| SRule {
+            query,
+            branch: 0,
+            set: SetId::Set1,
+            op: SaluOp::Add(Operand::Const(1)),
+        };
+        let mut s = SModule::new(1, 16);
+        assert!(s.registers.is_empty(), "no rule, no array");
+        assert_eq!(s.register_count(), 16);
+        assert_eq!(s.register(0), 0);
+        assert_eq!(s.register(1_000_003), 0);
+        s.clear_registers();
+        assert!(s.registers.is_empty());
+
+        let mut full = SModule::new(0, 16);
+        assert_eq!(full.install(rule(1)), Err(InstallError::CapacityExceeded { capacity: 0 }));
+        assert!(full.registers.is_empty(), "a rejected install allocates nothing");
+
+        s.install(rule(1)).unwrap();
+        assert_eq!(s.registers.len(), 16);
+        let mut input = phv();
+        input.set_mut(SetId::Set1).hash_result = 21;
+        let mut out = input.clone();
+        s.execute(&input, &mut out);
+        assert_eq!(s.register(5), 1);
+
+        // The last rule leaving keeps the array and its contents.
+        assert_eq!(s.remove_query(1), 1);
+        assert_eq!(s.registers.len(), 16);
+        assert_eq!(s.register(5), 1);
+        s.clear_registers();
+        assert_eq!(s.register(5), 0);
+        assert_eq!(s.register_count(), 16);
     }
 
     #[test]

@@ -331,14 +331,16 @@ impl<'a> Parser<'a> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let cp = self.hex4()?;
-                            // Surrogate pairs: one optional low half.
+                            // Surrogate pairs: a high half must be
+                            // followed by a low half.
                             let c = if (0xD800..0xDC00).contains(&cp) {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(combined)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -413,6 +415,14 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndé"));
         let re = parse(&v.to_string()).unwrap();
         assert_eq!(re, v);
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_half() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+        for bad in [r#""\ud800\ud800""#, r#""\ud800\u0041""#, r#""\ud800A""#, r#""\udc00""#] {
+            assert_eq!(parse(bad).unwrap_err().msg, "invalid \\u escape", "{bad}");
+        }
     }
 
     #[test]

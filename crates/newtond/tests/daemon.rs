@@ -455,6 +455,24 @@ fn hostile_lines_get_bad_request_and_leave_other_clients_alone() {
     hostile.write_all(b"{\"id\":2,\"op\":\"ping\"}\n").unwrap();
     assert_eq!(reply().get("ok").and_then(Value::as_bool), Some(true));
 
+    // An intent spaced with multi-byte whitespace parses like plain
+    // spaces: answered, and the core thread keeps serving other clients.
+    let spaced = json::obj(vec![
+        ("id", json::num(3)),
+        ("op", json::str("install")),
+        ("name", json::str("spaced")),
+        ("intent", json::str("map(sip)\u{a0}|\u{2007}reduce(sip,\u{3000}count) | where >= 10")),
+    ]);
+    hostile.write_all(format!("{spaced}\n").as_bytes()).unwrap();
+    let r = reply();
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    assert_ne!(good.list().expect("list after the spaced intent"), before);
+    let query = r.get("result").map(|v| u64_field(v, "query")).expect("an install result");
+    hostile
+        .write_all(format!("{{\"id\":4,\"op\":\"remove\",\"query\":{query}}}\n").as_bytes())
+        .unwrap();
+    assert_eq!(reply().get("ok").and_then(Value::as_bool), Some(true));
+
     // One byte past the line cap: answered, then the connection closes.
     hostile.write_all(&vec![b'['; MAX_REQUEST_LINE + 1]).unwrap();
     let r = reply();

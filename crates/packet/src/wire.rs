@@ -156,6 +156,10 @@ pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
         }
         _ => (0, 0, TcpFlags::NONE),
     };
+    let wire_len = ip
+        .total_len
+        .checked_add(EthernetHeader::LEN as u16)
+        .ok_or(ParseError::Malformed("IPv4 total length overflows the frame length"))?;
 
     Ok(Frame {
         packet: Packet {
@@ -165,7 +169,7 @@ pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
             dst_port,
             protocol,
             tcp_flags: flags,
-            wire_len: (EthernetHeader::LEN as u16) + ip.total_len,
+            wire_len,
             ttl: ip.ttl,
             ts_ns: 0,
         },
@@ -237,6 +241,23 @@ mod tests {
         bytes[12] = 0x86;
         bytes[13] = 0xDD; // IPv6
         assert!(matches!(decode(&bytes), Err(FrameError::UnsupportedEthertype(0x86DD))));
+    }
+
+    #[test]
+    fn ip_total_length_past_the_frame_length_field_is_an_error() {
+        let with_total_len = |total_len| {
+            let mut bytes = encode(&PacketBuilder::new().build(), None);
+            let ip = Ipv4Header { total_len, ..Ipv4Header::parse(&bytes[14..]).unwrap() };
+            let mut hdr = Vec::new();
+            ip.write(&mut hdr);
+            bytes[14..14 + Ipv4Header::LEN].copy_from_slice(&hdr);
+            bytes
+        };
+        assert_eq!(decode(&with_total_len(65_521)).unwrap().packet.wire_len, u16::MAX);
+        assert!(matches!(
+            decode(&with_total_len(0xFFFF)),
+            Err(FrameError::Header(ParseError::Malformed(_)))
+        ));
     }
 
     #[test]

@@ -74,9 +74,8 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.src[self.pos..].starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
-        }
+        let rest = &self.src[self.pos..];
+        self.pos += rest.len() - rest.trim_start().len();
     }
 
     fn peek(&mut self) -> Option<char> {
@@ -519,6 +518,27 @@ mod tests {
     fn catalog_roundtrips_through_text() {
         for q in catalog::all_queries() {
             let text = super::to_text(&q);
+            let back =
+                parse_query(&q.name, &text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", q.name));
+            assert_eq!(back, q, "{}:\n{text}", q.name);
+        }
+    }
+
+    #[test]
+    fn multi_byte_whitespace_parses_as_whitespace() {
+        const SPACES: [char; 3] = ['\u{a0}', '\u{2007}', '\u{3000}'];
+        for q in catalog::all_queries() {
+            let mut nth = 0;
+            let text: String = super::to_text(&q)
+                .chars()
+                .map(|c| {
+                    if c != ' ' {
+                        return c;
+                    }
+                    nth += 1;
+                    SPACES[nth % SPACES.len()]
+                })
+                .collect();
             let back =
                 parse_query(&q.name, &text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", q.name));
             assert_eq!(back, q, "{}:\n{text}", q.name);

@@ -13,6 +13,9 @@ use std::io::{self, Read, Write};
 const MAGIC: u32 = 0xa1b2_c3d4;
 const LINKTYPE_ETHERNET: u32 = 1;
 
+/// Longest record [`read_pcap`] accepts: libpcap's maximum snap length.
+pub const MAX_RECORD_LEN: u32 = 262_144;
+
 /// Write packets as a pcap file. Frames are synthesized with
 /// [`newton_packet::wire::encode`] (no snapshot header — pcap captures are
 /// host-visible traffic).
@@ -47,6 +50,12 @@ pub enum PcapError {
     BadMagic(u32),
     /// A frame failed to parse as Ethernet/IPv4/TCP-UDP.
     BadFrame(usize),
+    /// Record `record` (counted from 0) claims `len` bytes, more than
+    /// [`MAX_RECORD_LEN`]; refused before anything is allocated for it.
+    RecordTooLong {
+        record: usize,
+        len: u32,
+    },
 }
 
 impl std::fmt::Display for PcapError {
@@ -55,6 +64,9 @@ impl std::fmt::Display for PcapError {
             PcapError::Io(e) => write!(f, "io: {e}"),
             PcapError::BadMagic(m) => write!(f, "not a classic LE pcap (magic {m:#010x})"),
             PcapError::BadFrame(i) => write!(f, "frame {i} failed to parse"),
+            PcapError::RecordTooLong { record, len } => {
+                write!(f, "record {record} claims {len} bytes (limit {MAX_RECORD_LEN})")
+            }
         }
     }
 }
@@ -89,8 +101,11 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
         }
         let ts_sec = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as u64;
         let ts_usec = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as u64;
-        let incl = u32::from_le_bytes([rec[8], rec[9], rec[10], rec[11]]) as usize;
-        let mut frame = vec![0u8; incl];
+        let incl = u32::from_le_bytes([rec[8], rec[9], rec[10], rec[11]]);
+        if incl > MAX_RECORD_LEN {
+            return Err(PcapError::RecordTooLong { record: idx, len: incl });
+        }
+        let mut frame = vec![0u8; incl as usize];
         r.read_exact(&mut frame)?;
         let mut pkt = wire::decode(&frame).map_err(|_| PcapError::BadFrame(idx))?.packet;
         pkt.ts_ns = ts_sec * 1_000_000_000 + ts_usec * 1_000;
@@ -136,6 +151,38 @@ mod tests {
     fn bad_magic_is_rejected() {
         let garbage = [0u8; 40];
         assert!(matches!(read_pcap(&garbage[..]), Err(PcapError::BadMagic(0))));
+    }
+
+    /// A pcap file holding one record of `incl_len` bytes, `frame` its body.
+    fn one_record(incl_len: u32, frame: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_pcap(&mut buf, &[]).unwrap();
+        buf.extend_from_slice(&[0; 8]); // timestamp
+        buf.extend_from_slice(&incl_len.to_le_bytes());
+        buf.extend_from_slice(&incl_len.to_le_bytes());
+        buf.extend_from_slice(frame);
+        buf
+    }
+
+    #[test]
+    fn oversized_record_is_rejected_before_reading_it() {
+        let buf = one_record(1 << 30, &[0; 64]);
+        assert!(matches!(
+            read_pcap(&buf[..]),
+            Err(PcapError::RecordTooLong { record: 0, len: 0x4000_0000 })
+        ));
+    }
+
+    #[test]
+    fn ip_total_length_overflowing_the_wire_length_is_a_bad_frame() {
+        use newton_packet::{Ipv4Header, PacketBuilder};
+        let mut frame = wire::encode(&PacketBuilder::new().build(), None);
+        let ip = Ipv4Header { total_len: 0xFFFF, ..Ipv4Header::parse(&frame[14..]).unwrap() };
+        let mut hdr = Vec::new();
+        ip.write(&mut hdr);
+        frame[14..14 + Ipv4Header::LEN].copy_from_slice(&hdr);
+        let buf = one_record(frame.len() as u32, &frame);
+        assert!(matches!(read_pcap(&buf[..]), Err(PcapError::BadFrame(0))));
     }
 
     #[test]
