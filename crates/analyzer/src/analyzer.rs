@@ -76,7 +76,8 @@ impl Analyzer {
             let mut keys = candidates.remove(&id).unwrap_or_default();
             for task in &plan.tasks {
                 match *task {
-                    AnalyzerTask::ProbeCheck { branch, cmp, value } => {
+                    AnalyzerTask::ProbeCheck { branch, cmp, value }
+                    | AnalyzerTask::EpochThreshold { branch, cmp, value } => {
                         let probes = &plan.branches[branch as usize].probes;
                         keys.retain(|&k| {
                             probe_min(id, probes, k, read)
@@ -104,14 +105,6 @@ impl Analyzer {
                                 })
                             });
                             folded.map(|f| cmp.eval(f, value)).unwrap_or(false)
-                        });
-                    }
-                    AnalyzerTask::EpochThreshold { branch, cmp, value } => {
-                        let probes = &plan.branches[branch as usize].probes;
-                        keys.retain(|&k| {
-                            probe_min(id, probes, k, read)
-                                .map(|v| cmp.eval(v as u64, value))
-                                .unwrap_or(false)
                         });
                     }
                 }

@@ -1,33 +1,79 @@
-//! Incremental compilation: a cache over Algorithm-1 composition and
-//! Opt.1–3 rule generation, keyed on query *structure* + target config.
+//! Incremental compilation: a cache over Algorithm-1 composition, Opt.1–3
+//! rule generation and CQE slicing, keyed on query *structure*, target
+//! config and stage budget.
 //!
 //! Under churn the controller compiles the same handful of intent shapes
 //! over and over — drill-down variants, renamed re-submissions, the same
-//! catalog query re-installed after a remove. Composition and rule
-//! generation are pure functions of `(query structure, CompilerConfig,
+//! catalog query re-installed after a remove. Composition, rule generation
+//! and slicing are pure functions of `(query structure, CompilerConfig,
 //! stage budget)`; only the [`QueryId`] stamped into the emitted rules
 //! differs between generations. The cache therefore stores one canonical
-//! compilation per key and **rebinds** the query id (and display name) on
-//! every fetch — a linear pass over the rule vectors, orders of magnitude
-//! cheaper than re-running decomposition, composition and rule generation.
+//! [`CompiledQuery`] per key and **rebinds** the query id on every fetch —
+//! a linear pass over the rule vectors, orders of magnitude cheaper than
+//! re-running decomposition, composition and rule generation.
 //!
 //! The key deliberately excludes `Query::name`: renaming an intent (the
 //! common "q1 → q1_tight" drill-down resubmission) is a cache hit.
 //! Everything else that influences the emitted artifacts is in the key:
-//! branches/merge/epoch (structure) and every [`CompilerConfig`] field
-//! (register slice geometry, sketch shape, hash seeds).
+//! branches/merge/epoch (structure), every [`CompilerConfig`] field
+//! (register slice geometry, sketch shape, hash seeds) and the stage
+//! budget (the same structure slices differently on 4-stage and 12-stage
+//! switches).
 
-use crate::plan::Compilation;
-use crate::slicing::{compile_sliced, SlicedCompilation};
+use crate::plan::QueryPlan;
+use crate::slicing::compile_sliced;
 use crate::CompilerConfig;
-use newton_dataplane::{QueryId, RuleSet};
+use newton_dataplane::{QueryId, RuleSet, SetId};
 use newton_query::Query;
 use std::collections::HashMap;
 
-/// Cache key: the query structure (name excluded) plus the full compiler
-/// configuration. `Query` intentionally does not implement `Hash`, so the
-/// structural part is its canonical `Debug` rendering — stable, total, and
-/// collision-free (it spells out every branch, primitive and merge).
+/// One slice of a [`CompiledQuery`], as a switch holding it installs it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledSlice {
+    /// The slice's rules, stage numbering from 0.
+    pub rules: RuleSet,
+    /// Pipeline stages the slice occupies.
+    pub stages: usize,
+    /// The metadata set the slice's boundary snapshots and the next slice
+    /// restores (`Set1` for a query compiled whole).
+    pub capture: SetId,
+}
+
+/// A query compiled for one stage budget: whole when its composition fits
+/// one switch, otherwise cut into CQE slices ([`compile_sliced`]).
+#[derive(Debug, Clone)]
+pub struct CompiledQuery {
+    /// The slices in path order; one for a query compiled whole.
+    pub slices: Vec<CompiledSlice>,
+    /// Analyzer plan; probe addresses carry their slice index.
+    pub plan: QueryPlan,
+}
+
+impl CompiledQuery {
+    fn new(query: &Query, id: QueryId, config: &CompilerConfig, stages_per_switch: usize) -> Self {
+        let whole = crate::compile(query, id, config);
+        let stages = whole.composition.stages();
+        if stages <= stages_per_switch {
+            let slice = CompiledSlice { rules: whole.rules, stages, capture: SetId::Set1 };
+            return CompiledQuery { slices: vec![slice], plan: whole.plan };
+        }
+        let sliced = compile_sliced(query, id, config, stages_per_switch);
+        let slices = sliced
+            .slices
+            .into_iter()
+            .zip(sliced.slice_stage_counts)
+            .zip(sliced.capture_sets)
+            .map(|((rules, stages), capture)| CompiledSlice { rules, stages, capture })
+            .collect();
+        CompiledQuery { slices, plan: sliced.plan }
+    }
+}
+
+/// Cache key: the query structure (name excluded), the full compiler
+/// configuration and the stage budget. `Query` intentionally does not
+/// implement `Hash`, so the structural part is its canonical `Debug`
+/// rendering — stable, total, and collision-free (it spells out every
+/// branch, primitive and merge).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     structure: String,
@@ -36,10 +82,11 @@ struct CacheKey {
     bf_hashes: usize,
     cm_depth: usize,
     seed: u64,
+    stages_per_switch: usize,
 }
 
 impl CacheKey {
-    fn new(query: &Query, config: &CompilerConfig) -> Self {
+    fn new(query: &Query, config: &CompilerConfig, stages_per_switch: usize) -> Self {
         CacheKey {
             structure: format!("{:?}|{:?}|{}", query.branches, query.merge, query.epoch_ms),
             registers_per_array: config.registers_per_array,
@@ -47,6 +94,7 @@ impl CacheKey {
             bf_hashes: config.bf_hashes,
             cm_depth: config.cm_depth,
             seed: config.seed,
+            stages_per_switch,
         }
     }
 }
@@ -73,8 +121,7 @@ impl CacheStats {
 /// The compilation cache. One per controller; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct CompileCache {
-    whole: HashMap<CacheKey, Compilation>,
-    sliced: HashMap<(CacheKey, usize), SlicedCompilation>,
+    entries: HashMap<CacheKey, CompiledQuery>,
     stats: CacheStats,
 }
 
@@ -101,78 +148,39 @@ impl CompileCache {
         Self::default()
     }
 
-    /// Cached [`crate::compile`]: identical output, reused composition.
-    pub fn compile(&mut self, query: &Query, id: QueryId, config: &CompilerConfig) -> Compilation {
-        let key = CacheKey::new(query, config);
-        let mut out = match self.whole.get(&key) {
-            Some(c) => {
-                self.stats.hits += 1;
-                c.clone()
-            }
-            None => {
-                self.stats.misses += 1;
-                let c = crate::compile(query, id, config);
-                self.whole.insert(key, c.clone());
-                c
-            }
-        };
-        out.id = id;
-        out.query_name = query.name.clone();
-        out.stats.query_name = query.name.clone();
-        rebind_ruleset(&mut out.rules, id);
-        out
-    }
-
-    /// Cached [`compile_sliced`]: identical output, reused composition and
-    /// chunking. The stage budget joins the key — the same structure slices
-    /// differently on 4-stage and 12-stage switches.
-    pub fn compile_sliced(
+    /// Compile `query` as `id` for switches of `stages_per_switch` stages:
+    /// whole if its composition fits, CQE slices otherwise. One lookup per
+    /// call; a hit clones the stored compilation and rebinds its rules to
+    /// `id`.
+    pub fn compile(
         &mut self,
         query: &Query,
         id: QueryId,
         config: &CompilerConfig,
         stages_per_switch: usize,
-    ) -> SlicedCompilation {
-        let key = (CacheKey::new(query, config), stages_per_switch);
-        let mut out = match self.sliced.get(&key) {
+    ) -> CompiledQuery {
+        let key = CacheKey::new(query, config, stages_per_switch);
+        let mut out = match self.entries.get(&key) {
             Some(c) => {
                 self.stats.hits += 1;
                 c.clone()
             }
             None => {
                 self.stats.misses += 1;
-                let c = compile_sliced(query, id, config, stages_per_switch);
-                self.sliced.insert(key, c.clone());
+                let c = CompiledQuery::new(query, id, config, stages_per_switch);
+                self.entries.insert(key, c.clone());
                 c
             }
         };
-        out.id = id;
-        out.query_name = query.name.clone();
         for slice in &mut out.slices {
-            rebind_ruleset(slice, id);
+            rebind_ruleset(&mut slice.rules, id);
         }
         out
     }
 
-    /// Hit/miss counters since construction (or the last [`Self::clear`]).
+    /// Hit/miss counters since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Cached compilations currently held.
-    pub fn len(&self) -> usize {
-        self.whole.len() + self.sliced.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.whole.is_empty() && self.sliced.is_empty()
-    }
-
-    /// Drop every cached compilation and reset the counters.
-    pub fn clear(&mut self) {
-        self.whole.clear();
-        self.sliced.clear();
-        self.stats = CacheStats::default();
     }
 }
 
@@ -185,19 +193,26 @@ mod tests {
         CompilerConfig::default()
     }
 
+    /// The stage budget of one Tofino-class switch: every catalog query
+    /// fits it whole.
+    const WHOLE: usize = 12;
+
     #[test]
     fn fetch_equals_fresh_compile_with_rebound_id() {
         let mut cache = CompileCache::new();
         for q in catalog::all_queries() {
-            let warm = cache.compile(&q, 7, &cfg());
             let fresh = crate::compile(&q, 7, &cfg());
-            assert_eq!(warm.rules, fresh.rules, "{}: warm-miss compile diverged", q.name);
+            let warm = cache.compile(&q, 7, &cfg(), WHOLE);
+            assert_eq!(warm.slices.len(), 1, "{}: a query that fits is one slice", q.name);
+            let slice = &warm.slices[0];
+            assert_eq!(slice.rules, fresh.rules, "{}: warm-miss compile diverged", q.name);
+            assert_eq!(slice.stages, fresh.composition.stages());
+            assert_eq!(slice.capture, SetId::Set1);
 
             // Second fetch under a different id: every rule rebound.
-            let hit = cache.compile(&q, 42, &cfg());
+            let hit = cache.compile(&q, 42, &cfg(), WHOLE);
             let direct = crate::compile(&q, 42, &cfg());
-            assert_eq!(hit.rules, direct.rules, "{}: rebound rules diverged", q.name);
-            assert_eq!(hit.id, 42);
+            assert_eq!(hit.slices[0].rules, direct.rules, "{}: rebound rules diverged", q.name);
             assert_eq!(format!("{:?}", hit.plan), format!("{:?}", direct.plan));
         }
     }
@@ -206,17 +221,16 @@ mod tests {
     fn renamed_query_is_a_hit_but_config_change_is_a_miss() {
         let mut cache = CompileCache::new();
         let q = catalog::q1_new_tcp();
-        cache.compile(&q, 1, &cfg());
+        cache.compile(&q, 1, &cfg(), WHOLE);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
 
         let mut renamed = q.clone();
         renamed.name = "q1_tight".into();
-        let c = cache.compile(&renamed, 2, &cfg());
+        cache.compile(&renamed, 2, &cfg(), WHOLE);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(c.query_name, "q1_tight", "display name rebinds on fetch");
 
         let other = CompilerConfig { register_offset: 512, ..cfg() };
-        cache.compile(&q, 3, &other);
+        cache.compile(&q, 3, &other, WHOLE);
         assert_eq!(cache.stats().misses, 2, "register slice geometry is part of the key");
     }
 
@@ -224,18 +238,24 @@ mod tests {
     fn sliced_fetch_matches_fresh_and_keys_on_budget() {
         let mut cache = CompileCache::new();
         let q = catalog::q4_port_scan();
-        let warm = cache.compile_sliced(&q, 3, &cfg(), 4);
-        let fresh = compile_sliced(&q, 3, &cfg(), 4);
-        assert_eq!(warm.slices, fresh.slices);
+        let same = |got: &CompiledQuery, want: &crate::SlicedCompilation| {
+            assert_eq!(got.slices.len(), want.slice_count());
+            for (c, slice) in got.slices.iter().enumerate() {
+                assert_eq!(slice.rules, want.slices[c], "slice {c} rules diverged");
+                assert_eq!(slice.stages, want.slice_stage_counts[c]);
+                assert_eq!(slice.capture, want.capture_sets[c]);
+            }
+            assert_eq!(format!("{:?}", got.plan), format!("{:?}", want.plan));
+        };
+        let warm = cache.compile(&q, 3, &cfg(), 4);
+        assert!(warm.slices.len() > 1, "Q4 exceeds a 4-stage budget");
+        same(&warm, &compile_sliced(&q, 3, &cfg(), 4));
 
-        let hit = cache.compile_sliced(&q, 9, &cfg(), 4);
-        let direct = compile_sliced(&q, 9, &cfg(), 4);
-        assert_eq!(hit.slices, direct.slices, "rebound slices diverged");
-        assert_eq!(hit.slice_stage_counts, direct.slice_stage_counts);
-        assert_eq!(hit.capture_sets, direct.capture_sets);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        let hit = cache.compile(&q, 9, &cfg(), 4);
+        same(&hit, &compile_sliced(&q, 9, &cfg(), 4));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 }, "one lookup per compile");
 
-        cache.compile_sliced(&q, 10, &cfg(), 6);
+        cache.compile(&q, 10, &cfg(), 6);
         assert_eq!(cache.stats().misses, 2, "stage budget is part of the key");
     }
 
@@ -245,7 +265,7 @@ mod tests {
         // collide with the original structure's cache entry.
         let mut cache = CompileCache::new();
         let q = catalog::q1_new_tcp();
-        let a = cache.compile(&q, 1, &cfg());
+        let a = cache.compile(&q, 1, &cfg(), WHOLE);
         let mut tighter = q.clone();
         for b in &mut tighter.branches {
             for p in &mut b.primitives {
@@ -254,8 +274,8 @@ mod tests {
                 }
             }
         }
-        let b = cache.compile(&tighter, 1, &cfg());
+        let b = cache.compile(&tighter, 1, &cfg(), WHOLE);
         assert_eq!(cache.stats().misses, 2);
-        assert_ne!(a.rules, b.rules, "different thresholds compile differently");
+        assert_ne!(a.slices, b.slices, "different thresholds compile differently");
     }
 }

@@ -35,7 +35,7 @@ pub mod rulegen;
 pub mod slicing;
 pub mod sonata;
 
-pub use cache::{CacheStats, CompileCache};
+pub use cache::{CacheStats, CompileCache, CompiledQuery, CompiledSlice};
 pub use compose::{compose, compose_naive_executable, retarget_to_naive, Composition, OptLevel};
 pub use concurrent::{p_newton, s_newton, sonata_chained, ConcurrentCost};
 pub use decompose::{decompose_query, ModuleRole, ModuleSpec, SketchPolicy, POLLUTION_SLACK};
@@ -83,14 +83,13 @@ impl Default for CompilerConfig {
 
 /// Compile a query with all optimizations enabled.
 ///
-/// Returns the installable rules, the analyzer plan, and the per-opt-level
-/// statistics (Fig. 15).
+/// Returns the installable rules, the analyzer plan and the composition
+/// behind them; [`stats_for`] composes the Fig. 15 ladder separately.
 pub fn compile(query: &Query, id: QueryId, config: &CompilerConfig) -> Compilation {
     let decomp = decompose_query(query, config);
     let composition = compose(query, &decomp, OptLevel::full());
-    let stats = CompileStats::collect(query, &decomp, config);
     let (rules, plan) = generate_rules(query, id, &decomp, &composition, config);
-    Compilation { query_name: query.name.clone(), id, rules, plan, stats, composition }
+    Compilation { query_name: query.name.clone(), id, rules, plan, composition }
 }
 
 #[cfg(test)]

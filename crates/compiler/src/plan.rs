@@ -77,8 +77,6 @@ pub struct Compilation {
     pub rules: RuleSet,
     /// Analyzer plan.
     pub plan: QueryPlan,
-    /// Fig. 15 statistics.
-    pub stats: CompileStats,
     /// The composed module/stage structure behind `rules`.
     pub composition: Composition,
 }

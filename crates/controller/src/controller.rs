@@ -4,10 +4,12 @@
 //! packet forwarding continues throughout (the §6.1 property — contrast
 //! with the Sonata reboot model in `newton-baselines`).
 
-use crate::placement::{reachable_depth, topology_fingerprint, Placement, PlacementTemplate};
+use crate::placement::{place_parts, reachable_depth, Placement};
 use crate::timing::RuleTimingModel;
-use newton_compiler::{CacheStats, CompileCache, CompilerConfig, QueryPlan};
-use newton_dataplane::{QueryId, RuleSet, SetId, SliceInfo, SwitchError};
+use newton_compiler::{
+    CacheStats, CompileCache, CompiledQuery, CompiledSlice, CompilerConfig, QueryPlan,
+};
+use newton_dataplane::{QueryId, RuleSet, SliceInfo, SwitchError};
 use newton_net::{Network, Topology};
 use newton_query::Query;
 use std::collections::HashMap;
@@ -47,12 +49,8 @@ pub struct InstalledQuery {
     /// The original intent — drives the software-interpreter fallback when
     /// a failure degrades the query below data-plane coverage.
     pub query: Query,
-    /// Compiled per-slice rule sets, unshifted (stage 0 based).
-    pub slices: Vec<RuleSet>,
-    /// Pipeline stages each slice occupies.
-    pub stage_counts: Vec<usize>,
-    /// Snapshot capture set of each slice boundary.
-    pub captures: Vec<SetId>,
+    /// The compiled slices, unshifted (stage 0 based).
+    pub slices: Vec<CompiledSlice>,
 }
 
 /// Outcome of one [`Controller::repair`] pass over the live topology.
@@ -237,12 +235,10 @@ pub struct Controller {
     register_slots: u32,
     /// Slot index each live query occupies.
     slots_in_use: HashMap<QueryId, u32>,
-    /// Incremental compilation: Algorithm-1 composition and Opt.1–3 rule
-    /// generation reused across generations of the same intent shape.
+    /// Incremental compilation: Algorithm-1 composition, Opt.1–3 rule
+    /// generation and CQE slicing reused across generations of the same
+    /// intent shape.
     cache: CompileCache,
-    /// Amortized Algorithm 2: one placement DFS per topology fingerprint,
-    /// trimmed per query instead of re-derived per install/repair.
-    templates: HashMap<u64, PlacementTemplate>,
     channel: ChannelStats,
     /// When set (the default), [`Self::update`] diffs old vs new slices
     /// per switch and pushes only the changed ones; when cleared, every
@@ -269,7 +265,6 @@ impl Controller {
             register_slots,
             slots_in_use: HashMap::new(),
             cache: CompileCache::new(),
-            templates: HashMap::new(),
             channel: ChannelStats::default(),
             diff_install: true,
         }
@@ -380,50 +375,6 @@ impl Controller {
         }
     }
 
-    /// Compile `query` for `id` via the compilation cache and cut it for
-    /// the stage budget: whole query per switch if it fits, otherwise
-    /// snapshot-aware CQE slices (chunked in spec order with restored 𝕂s).
-    /// Returns `(rulesets, stage_counts, captures, plan)` — per-slice and
-    /// unshifted (stage 0 based).
-    fn compile_parts(
-        &mut self,
-        query: &Query,
-        id: QueryId,
-        query_cfg: &CompilerConfig,
-        stages_per_switch: usize,
-    ) -> (Vec<RuleSet>, Vec<usize>, Vec<SetId>, QueryPlan) {
-        let compilation = self.cache.compile(query, id, query_cfg);
-        if compilation.composition.stages() <= stages_per_switch {
-            let stages = compilation.composition.stages();
-            (vec![compilation.rules], vec![stages], vec![SetId::Set1], compilation.plan)
-        } else {
-            let sliced = self.cache.compile_sliced(query, id, query_cfg, stages_per_switch);
-            (sliced.slices, sliced.slice_stage_counts, sliced.capture_sets, sliced.plan)
-        }
-    }
-
-    /// Algorithm 2 via the per-topology template cache: one DFS per
-    /// distinct topology (fingerprinted by structure), trimmed to this
-    /// query's slice count — exactly `place_parts` at a fraction of the
-    /// cost under churn and repeated repair passes.
-    fn template_place(
-        templates: &mut HashMap<u64, PlacementTemplate>,
-        topo: &Topology,
-        parts: Vec<usize>,
-    ) -> Placement {
-        let fp = topology_fingerprint(topo);
-        let needed = parts.len().max(1);
-        let stale = templates.get(&fp).is_none_or(|t| t.max_depth() < needed);
-        if stale {
-            if templates.len() >= 16 {
-                templates.clear(); // bound memory under topology churn
-            }
-            templates
-                .insert(fp, PlacementTemplate::build(topo, topo.edge_switches(), needed.max(8)));
-        }
-        templates[&fp].place(parts)
-    }
-
     /// Remove every rule of `id` network-wide (rollback/restore scrub),
     /// recording the rule-channel traffic. Returns rules removed.
     fn scrub(channel: &mut ChannelStats, net: &mut Network, id: QueryId) -> usize {
@@ -444,37 +395,19 @@ impl Controller {
         net: &mut Network,
         stages_per_switch: usize,
     ) -> Result<InstallReceipt, SwitchError> {
-        let (rulesets, stage_counts, captures, plan) =
-            self.compile_parts(query, id, query_cfg, stages_per_switch);
-
-        let topo = net.topology().clone();
-        let parts: Vec<usize> = rulesets.iter().map(|r| r.total_rule_count()).collect();
-        let placement = Self::template_place(&mut self.templates, &topo, parts);
-
+        let CompiledQuery { slices, plan } =
+            self.cache.compile(query, id, query_cfg, stages_per_switch);
+        let placement = place(&slices, net.topology());
+        let depth = reachable_depth(net.topology(), net.topology().edge_switches());
         let (total_rules, switches, max_delay) = Self::apply_placement(
             &mut self.timing,
             &mut self.channel,
             net,
             id,
             &placement,
-            &rulesets,
-            &stage_counts,
-            &captures,
+            &slices,
         )?;
-
-        let depth = reachable_depth(&topo, topo.edge_switches());
-        self.installed.insert(
-            id,
-            InstalledQuery {
-                plan,
-                placement: placement.clone(),
-                query: query.clone(),
-                slices: rulesets,
-                stage_counts,
-                captures,
-            },
-        );
-        Ok(InstallReceipt {
+        let receipt = InstallReceipt {
             id,
             delay_ms: max_delay,
             rules: total_rules,
@@ -482,7 +415,9 @@ impl Controller {
             slices: placement.slice_count,
             overflow_slices: placement.slice_count.saturating_sub(depth),
             diff: false,
-        })
+        };
+        self.installed.insert(id, InstalledQuery { plan, placement, query: query.clone(), slices });
+        Ok(receipt)
     }
 
     /// Push a full placement's rules to the network: every switch named by
@@ -492,18 +427,14 @@ impl Controller {
     /// delay_ms)`.
     ///
     /// An associated fn taking split borrows (timing/channel/net alongside
-    /// `&self.installed` entries at call sites), so the artifact slices
-    /// stay separate parameters.
-    #[allow(clippy::too_many_arguments)]
+    /// `&self.installed` entries at call sites).
     fn apply_placement(
         timing: &mut RuleTimingModel,
         channel: &mut ChannelStats,
         net: &mut Network,
         id: QueryId,
         placement: &Placement,
-        rulesets: &[RuleSet],
-        stage_counts: &[usize],
-        captures: &[SetId],
+        compiled: &[CompiledSlice],
     ) -> Result<(usize, usize, f64), SwitchError> {
         let mut total_rules = 0usize;
         let mut switches = 0usize;
@@ -513,14 +444,7 @@ impl Controller {
                 continue;
             }
             switches += 1;
-            let add = stack_slices(
-                slices.iter().copied(),
-                0,
-                placement.slice_count,
-                rulesets,
-                stage_counts,
-                captures,
-            );
+            let add = stack_slices(slices.iter().copied(), 0, placement.slice_count, compiled);
             let sw_rules: usize = add.iter().map(|(rules, _)| rules.total_rule_count()).sum();
             net.switch_mut(sw_id).apply_slices(id, &[], &add)?;
             total_rules += sw_rules;
@@ -620,8 +544,8 @@ impl Controller {
         // the install-time threshold) and the diff-install path compares
         // against them.
         let entry = self.installed.get_mut(&id).expect("checked above");
-        for rs in &mut entry.slices {
-            for (_, r) in &mut rs.r {
+        for slice in &mut entry.slices {
+            for (_, r) in &mut slice.rules.r {
                 rewrite(r);
             }
         }
@@ -677,47 +601,35 @@ impl Controller {
             return Err(UpdateError::UnknownQuery(old));
         };
         let query_cfg = self.slot_config(slot);
-        let (rulesets, stage_counts, captures, plan) =
-            self.compile_parts(query, old, &query_cfg, stages_per_switch);
-
-        let topo = net.topology().clone();
-        let parts: Vec<usize> = rulesets.iter().map(|r| r.total_rule_count()).collect();
-        let placement = Self::template_place(&mut self.templates, &topo, parts);
-        let depth = reachable_depth(&topo, topo.edge_switches());
-        let overflow_slices = placement.slice_count.saturating_sub(depth);
+        let CompiledQuery { slices, plan } =
+            self.cache.compile(query, old, &query_cfg, stages_per_switch);
+        let placement = place(&slices, net.topology());
+        let depth = reachable_depth(net.topology(), net.topology().edge_switches());
 
         let same_shape = self.diff_install
             && placement.slice_count == prior.placement.slice_count
             && placement.slices == prior.placement.slices;
 
         let result = if same_shape {
-            self.diff_update(old, &prior, net, &placement, &rulesets, &stage_counts, &captures)
+            self.diff_update(old, &prior, net, &placement, &slices)
         } else {
-            self.full_update(old, net, &placement, &rulesets, &stage_counts, &captures)
+            self.full_update(old, net, &placement, &slices)
         };
 
         match result {
             Ok((rules, switches, delay_ms)) => {
-                self.installed.insert(
-                    old,
-                    InstalledQuery {
-                        plan,
-                        placement: placement.clone(),
-                        query: query.clone(),
-                        slices: rulesets,
-                        stage_counts,
-                        captures,
-                    },
-                );
-                Ok(InstallReceipt {
+                let receipt = InstallReceipt {
                     id: old,
                     delay_ms,
                     rules,
                     switches,
                     slices: placement.slice_count,
-                    overflow_slices,
+                    overflow_slices: placement.slice_count.saturating_sub(depth),
                     diff: same_shape,
-                })
+                };
+                let entry = InstalledQuery { plan, placement, query: query.clone(), slices };
+                self.installed.insert(old, entry);
+                Ok(receipt)
             }
             Err(error) => {
                 // Put the old query back from its stored artifacts: the new
@@ -731,8 +643,6 @@ impl Controller {
                     old,
                     &prior.placement,
                     &prior.slices,
-                    &prior.stage_counts,
-                    &prior.captures,
                 );
                 match restored {
                     Ok((_, _, restore_delay_ms)) => {
@@ -757,16 +667,13 @@ impl Controller {
     /// slice, and replace only what changed. Returns `(rules_touched,
     /// switches_touched, delay_ms)`; on error the query has been scrubbed
     /// network-wide (the caller restores the prior artifacts).
-    #[allow(clippy::too_many_arguments)]
     fn diff_update(
         &mut self,
         id: QueryId,
         prior: &InstalledQuery,
         net: &mut Network,
         placement: &Placement,
-        rulesets: &[RuleSet],
-        stage_counts: &[usize],
-        captures: &[SetId],
+        compiled: &[CompiledSlice],
     ) -> Result<(usize, usize, f64), SwitchError> {
         let mut total_rules = 0usize;
         let mut switches = 0usize;
@@ -785,24 +692,22 @@ impl Controller {
             let mut remove: Vec<u8> = Vec::new();
             let mut add: Vec<(RuleSet, SliceInfo)> = Vec::new();
             for &c in slices {
-                let old_len = prior.stage_counts[c];
-                let new_len = stage_counts[c];
-                let info = slice_info(c, placement.slice_count, captures, new_off, new_len);
+                let info = slice_info(c, placement.slice_count, compiled, new_off);
+                // The installed image is the slice's rules and stages at its
+                // offset, its capture set and the previous slice's.
                 let artifacts_same = old_off == new_off
-                    && old_len == new_len
-                    && prior.captures[c] == captures[c]
-                    && (c == 0 || prior.captures[c - 1] == captures[c - 1])
-                    && prior.slices[c] == rulesets[c];
+                    && prior.slices[c] == compiled[c]
+                    && (c == 0 || prior.slices[c - 1].capture == compiled[c - 1].capture);
                 // A restored-blank holder (pre-repair) simply doesn't hold
                 // the slice yet — install it even if the artifacts agree,
                 // exactly as the from-scratch path would.
                 let held = net.switch(sw_id).assigned_slices(id).contains(&info);
                 if !(artifacts_same && held) {
                     remove.push(c as u8);
-                    add.push((rulesets[c].shift_stages(new_off), info));
+                    add.push((compiled[c].rules.shift_stages(new_off), info));
                 }
-                old_off += old_len;
-                new_off += new_len;
+                old_off += prior.slices[c].stages;
+                new_off = info.stages.1;
             }
             if add.is_empty() {
                 continue;
@@ -842,9 +747,7 @@ impl Controller {
         id: QueryId,
         net: &mut Network,
         placement: &Placement,
-        rulesets: &[RuleSet],
-        stage_counts: &[usize],
-        captures: &[SetId],
+        compiled: &[CompiledSlice],
     ) -> Result<(usize, usize, f64), SwitchError> {
         let mut removed_total = 0usize;
         let mut remove_delay: f64 = 0.0;
@@ -862,9 +765,7 @@ impl Controller {
             net,
             id,
             placement,
-            rulesets,
-            stage_counts,
-            captures,
+            compiled,
         ) {
             Ok((rules, switches, install_delay)) => {
                 Ok((removed_total + rules, switches, remove_delay + install_delay))
@@ -893,11 +794,9 @@ impl Controller {
         if self.installed.is_empty() {
             return out;
         }
-        let full = net.topology().clone();
-        let full_depth = reachable_depth(&full, full.edge_switches());
+        let full_depth = reachable_depth(net.topology(), net.topology().edge_switches());
         let live = net.live_topology();
-        let live_edges: Vec<usize> = live.edge_switches().to_vec();
-        let live_depth = reachable_depth(&live, &live_edges);
+        let live_depth = reachable_depth(&live, live.edge_switches());
         let mut ids: Vec<QueryId> = self.installed.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
@@ -907,9 +806,8 @@ impl Controller {
             // data plane (install-time overflow, §5.2); only the runnable
             // prefix gauges failure-induced degradation.
             let runnable = entry.placement.slice_count.min(full_depth);
-            let mut degraded = live_edges.is_empty() || live_depth < runnable;
-            let parts: Vec<usize> = entry.slices.iter().map(RuleSet::total_rule_count).collect();
-            let want = Self::template_place(&mut self.templates, &live, parts);
+            let mut degraded = live.edge_switches().is_empty() || live_depth < runnable;
+            let want = place(&entry.slices, &live);
             let mut query_rules = 0usize;
             for (sw_id, slices) in want.slices.iter().enumerate() {
                 if slices.is_empty() {
@@ -925,14 +823,7 @@ impl Controller {
                     continue;
                 }
                 let offset = have.iter().map(|i| i.stages.1).max().unwrap_or(0);
-                let add = stack_slices(
-                    missing,
-                    offset,
-                    entry.placement.slice_count,
-                    &entry.slices,
-                    &entry.stage_counts,
-                    &entry.captures,
-                );
+                let add = stack_slices(missing, offset, entry.placement.slice_count, &entry.slices);
                 let sw_rules: usize = add.iter().map(|(rules, _)| rules.total_rule_count()).sum();
                 if net.switch_mut(sw_id).apply_slices(id, &[], &add).is_err() {
                     // The switch can't take the query back consistently
@@ -961,16 +852,22 @@ impl Controller {
     }
 }
 
-/// The assignment of slice `c` of a `total`-slice query laid out at stages
-/// `[offset, offset + len)`: it snapshots into its capture set and restores
-/// the previous slice's.
-fn slice_info(c: usize, total: usize, captures: &[SetId], offset: usize, len: usize) -> SliceInfo {
+/// Algorithm 2 for a query's slices over `topo`, from its edge switches.
+fn place(compiled: &[CompiledSlice], topo: &Topology) -> Placement {
+    let parts = compiled.iter().map(|s| s.rules.total_rule_count()).collect();
+    place_parts(parts, topo, topo.edge_switches())
+}
+
+/// The assignment of slice `c` of a `total`-slice query laid out from stage
+/// `offset`: it snapshots into its capture set and restores the previous
+/// slice's.
+fn slice_info(c: usize, total: usize, compiled: &[CompiledSlice], offset: usize) -> SliceInfo {
     SliceInfo {
         index: c as u8,
         total: total as u8,
-        capture_set: captures[c],
-        restore_set: captures[c.saturating_sub(1)],
-        stages: (offset, offset + len),
+        capture_set: compiled[c].capture,
+        restore_set: compiled[c.saturating_sub(1)].capture,
+        stages: (offset, offset + compiled[c].stages),
     }
 }
 
@@ -981,16 +878,14 @@ fn stack_slices(
     slices: impl IntoIterator<Item = usize>,
     mut offset: usize,
     total: usize,
-    rulesets: &[RuleSet],
-    stage_counts: &[usize],
-    captures: &[SetId],
+    compiled: &[CompiledSlice],
 ) -> Vec<(RuleSet, SliceInfo)> {
     slices
         .into_iter()
         .map(|c| {
-            let info = slice_info(c, total, captures, offset, stage_counts[c]);
+            let info = slice_info(c, total, compiled, offset);
             offset = info.stages.1;
-            (rulesets[c].shift_stages(info.stages.0), info)
+            (compiled[c].rules.shift_stages(info.stages.0), info)
         })
         .collect()
 }
@@ -1292,7 +1187,7 @@ mod tests {
         let floor = ctl.installed()[&r.id]
             .slices
             .iter()
-            .flat_map(|rs| rs.r.iter())
+            .flat_map(|s| s.rules.r.iter())
             .filter(|(_, rule)| rule.actions.contains(&RAction::Report))
             .map(|(_, rule)| rule.state_match.lo.max(rule.global_match.lo))
             .max()
@@ -1402,6 +1297,20 @@ mod tests {
         assert_eq!(net.total_rules(), rules_before);
         assert_eq!(ctl.installed()[&first.id].query.name, "q1_renamed");
         assert!(ctl.cache_stats().hits >= 1, "the rename is a cache hit");
+    }
+
+    #[test]
+    fn a_sliced_compile_is_one_cache_lookup() {
+        // Q4 on 4-stage switches needs CQE slices: still one cache lookup
+        // per install.
+        let mut ctl = controller();
+        let mut net = net(4);
+        let r = ctl.install(&catalog::q4_port_scan(), &mut net, 4).unwrap();
+        assert_eq!(r.slices, 4);
+        assert_eq!(ctl.cache_stats(), CacheStats { hits: 0, misses: 1 });
+        ctl.remove(r.id, &mut net).unwrap();
+        ctl.install(&catalog::q4_port_scan(), &mut net, 4).unwrap();
+        assert_eq!(ctl.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

@@ -23,7 +23,5 @@ pub use controller::{
     ChannelStats, Controller, InstallError, InstallReceipt, InstalledQuery, RepairOutcome,
     RetuneError, UpdateError,
 };
-pub use placement::{
-    place_parts, place_query, reachable_depth, topology_fingerprint, Placement, PlacementTemplate,
-};
+pub use placement::{place_parts, place_query, reachable_depth, Placement};
 pub use timing::RuleTimingModel;

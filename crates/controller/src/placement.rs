@@ -91,78 +91,6 @@ pub fn place_parts(
     Placement { slices, slice_count, slice_rules }
 }
 
-/// Amortized Algorithm 2: one DFS per topology instead of one per query.
-///
-/// The depth assignments of the placement DFS are a pure function of
-/// `(topology, edge switches, depth bound)` — independent of any one
-/// query's slice sizes. A template explored to `max_depth` therefore
-/// serves every query with `slice_count ≤ max_depth`: trimming each
-/// switch's depth set to `< slice_count` reproduces exactly what the
-/// per-query DFS would have computed, because the bound in `topo_dfs`
-/// only prunes *deeper* recursion — switch `s` is assigned depth `d` iff
-/// some simple path of length `d` from an edge switch reaches `s`, a
-/// property independent of the bound whenever `d` lies below it.
-#[derive(Debug, Clone)]
-pub struct PlacementTemplate {
-    depths: Vec<BTreeSet<usize>>,
-    max_depth: usize,
-}
-
-impl PlacementTemplate {
-    /// Run the DFS once, recording every depth `< max_depth` per switch.
-    pub fn build(topo: &Topology, edge_switches: &[NodeId], max_depth: usize) -> Self {
-        let max_depth = max_depth.max(1);
-        let mut depths: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); topo.len()];
-        let mut discovered = vec![false; topo.len()];
-        for &edge in edge_switches {
-            topo_dfs(topo, edge, 0, max_depth, &mut depths, &mut discovered);
-        }
-        PlacementTemplate { depths, max_depth }
-    }
-
-    /// Depth bound the template was explored to.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Instantiate the template for one query's slice sizes — equivalent
-    /// to [`place_parts`] on the same topology.
-    ///
-    /// # Panics
-    /// Panics when the query needs more slices than the template explored
-    /// (callers rebuild with a larger `max_depth` instead).
-    pub fn place(&self, slice_rules: Vec<usize>) -> Placement {
-        let slice_count = slice_rules.len().max(1);
-        assert!(
-            slice_count <= self.max_depth,
-            "template explored to depth {} but query needs {} slices",
-            self.max_depth,
-            slice_count
-        );
-        let slices =
-            self.depths.iter().map(|set| set.range(..slice_count).copied().collect()).collect();
-        Placement { slices, slice_count, slice_rules }
-    }
-}
-
-/// Stable fingerprint of a topology's structure (adjacency + edge-switch
-/// set), used to key cached [`PlacementTemplate`]s. O(E); collisions only
-/// cost a wrong template for a *different* topology, so the 64-bit space
-/// is ample for the handful of live topologies a controller ever sees.
-pub fn topology_fingerprint(topo: &Topology) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    topo.len().hash(&mut h);
-    for s in 0..topo.len() {
-        0xFFFF_FFFFusize.hash(&mut h); // switch delimiter
-        for n in topo.neighbors(s) {
-            n.hash(&mut h);
-        }
-    }
-    topo.edge_switches().hash(&mut h);
-    h.finish()
-}
-
 /// Algorithm 2: place a composed query (as its [`RuleSet`]) over `topo`,
 /// starting the DFS from `edge_switches` (the monitored traffic's first
 /// hops), with `stages_per_switch` module stages available per switch.
@@ -309,45 +237,6 @@ mod tests {
         }
         let spread = (avgs[2] - avgs[1]).abs() / avgs[1];
         assert!(spread < 0.35, "average should stabilize, got {avgs:?}");
-    }
-
-    #[test]
-    fn template_trim_equals_fresh_placement() {
-        // The amortized path must be *exactly* Algorithm 2: for every
-        // slice count below the template depth, trimming reproduces the
-        // per-query DFS bit for bit.
-        for topo in [Topology::fat_tree(4), Topology::chain(5), Topology::abilene()] {
-            let edges = topo.edge_switches().to_vec();
-            let template = PlacementTemplate::build(&topo, &edges, 5);
-            for count in 1..=5usize {
-                let slice_rules: Vec<usize> = (0..count).map(|c| 10 + c).collect();
-                let fresh = place_parts(slice_rules.clone(), &topo, &edges);
-                let amortized = template.place(slice_rules);
-                assert_eq!(
-                    fresh.slices,
-                    amortized.slices,
-                    "{}: template trim diverged at {count} slices",
-                    topo.name()
-                );
-                assert_eq!(fresh.slice_count, amortized.slice_count);
-                assert_eq!(fresh.slice_rules, amortized.slice_rules);
-            }
-        }
-    }
-
-    #[test]
-    fn fingerprint_tracks_structure_not_identity() {
-        let a = Topology::fat_tree(4);
-        let b = Topology::fat_tree(4);
-        assert_eq!(topology_fingerprint(&a), topology_fingerprint(&b));
-
-        let mut c = Topology::fat_tree(4);
-        c.add_link(0, 19);
-        assert_ne!(topology_fingerprint(&a), topology_fingerprint(&c), "extra link must show");
-
-        let mut d = Topology::fat_tree(4);
-        d.mark_edge(4);
-        assert_ne!(topology_fingerprint(&a), topology_fingerprint(&d), "edge set must show");
     }
 
     #[test]

@@ -16,18 +16,13 @@
 //!   wait-free — safe to call from worker pools, producer threads, and
 //!   connection threads concurrently.
 //! * Handles ([`Counter`], [`Gauge`], [`MaxGauge`], [`Histogram`]) wrap an
-//!   `Option<Arc<..>>`. The detached constructors ([`Counter::noop`] and
-//!   friends) hold `None`, so an uninstrumented layer pays one pointer
-//!   test per update site — and sites in generic code can eliminate even
-//!   that with the [`MetricsGate`] pattern, mirroring the telemetry
-//!   crate's `Telemetry::ENABLED`: guard update code with
-//!   `if G::ENABLED { .. }` and the `MetricsOff` instantiation
-//!   monomorphizes the whole branch away.
+//!   `Option<Arc<..>>`. A `Default` handle is detached (`None`): every
+//!   update is a no-op, so an uninstrumented layer pays one pointer test
+//!   per update site.
 //! * [`Histogram`] buckets by `log2(value)`: 65 buckets cover the full
 //!   `u64` range, bucket `i > 0` holding values in `[2^(i-1), 2^i)` and
 //!   bucket 0 holding zeros. Counts, the value sum, and the exact maximum
-//!   are all `u64` atomics, so merging two histograms (or two snapshots)
-//!   is lossless integer addition — no floating point, no decay.
+//!   are all `u64` atomics — no floating point, no decay.
 //!
 //! Quantiles (p50/p90/p99) come from the bucket CDF: the reported value
 //! is the upper bound of the bucket containing the target rank, clamped
@@ -41,26 +36,6 @@ use std::sync::{Arc, Mutex};
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
 pub const HIST_BUCKETS: usize = 65;
 
-/// Compile-time metrics gate for generic instrumentation sites — the
-/// moral twin of `newton_telemetry::Telemetry::ENABLED`. Code written as
-/// `if G::ENABLED { handle.add(n) }` compiles to nothing at all when
-/// instantiated with [`MetricsOff`].
-pub trait MetricsGate {
-    const ENABLED: bool;
-}
-
-/// Gate value: metrics updates run.
-pub struct MetricsOn;
-impl MetricsGate for MetricsOn {
-    const ENABLED: bool = true;
-}
-
-/// Gate value: metrics updates monomorphize to no-ops.
-pub struct MetricsOff;
-impl MetricsGate for MetricsOff {
-    const ENABLED: bool = false;
-}
-
 /// What a metric is, for rendering. `MaxGauge` renders as a gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -69,16 +44,12 @@ pub enum Kind {
     Histogram,
 }
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter. The `Default` counter is detached:
+/// every update is a no-op.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    /// A detached counter: every update is a no-op.
-    pub fn noop() -> Counter {
-        Counter(None)
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -112,10 +83,6 @@ impl Counter {
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
     #[inline]
     pub fn set(&self, v: u64) {
         if let Some(g) = &self.0 {
@@ -149,10 +116,6 @@ impl Gauge {
 pub struct MaxGauge(Option<Arc<AtomicU64>>);
 
 impl MaxGauge {
-    pub fn noop() -> MaxGauge {
-        MaxGauge(None)
-    }
-
     #[inline]
     pub fn observe(&self, v: u64) {
         if let Some(g) = &self.0 {
@@ -167,7 +130,7 @@ impl MaxGauge {
 
 /// Shared storage of one histogram: 65 log2 bucket counts, the value sum,
 /// and the exact maximum. All plain `u64` atomics, so concurrent
-/// observers never lose an update and two histograms merge losslessly.
+/// observers never lose an update.
 #[derive(Debug)]
 struct HistCore {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -211,30 +174,12 @@ pub fn bucket_upper(i: usize) -> u64 {
 pub struct Histogram(Option<Arc<HistCore>>);
 
 impl Histogram {
-    pub fn noop() -> Histogram {
-        Histogram(None)
-    }
-
     #[inline]
     pub fn observe(&self, v: u64) {
         if let Some(h) = &self.0 {
             h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
             h.sum.fetch_add(v, Ordering::Relaxed);
             h.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Fold a snapshot (e.g. from another process's registry dump) into
-    /// this histogram — lossless `u64` addition per bucket.
-    pub fn merge(&self, snap: &HistogramSnapshot) {
-        if let Some(h) = &self.0 {
-            for (b, &n) in h.buckets.iter().zip(snap.buckets.iter()) {
-                if n > 0 {
-                    b.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            h.sum.fetch_add(snap.sum, Ordering::Relaxed);
-            h.max.fetch_max(snap.max, Ordering::Relaxed);
         }
     }
 
@@ -267,17 +212,6 @@ impl Default for HistogramSnapshot {
 impl HistogramSnapshot {
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Lossless merge: bucket-wise `u64` addition, sum addition, max of
-    /// maxes. `merge(a, b)` then quantile extraction equals extracting
-    /// from the union of the underlying observations' buckets.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     /// The value at quantile `q` in `[0, 1]`: the upper bound of the
@@ -621,31 +555,18 @@ mod tests {
 
     #[test]
     fn noop_handles_cost_nothing_and_report_zero() {
-        let c = Counter::noop();
+        let c = Counter::default();
         c.add(10);
         assert_eq!(c.get(), 0);
-        let h = Histogram::noop();
+        let h = Histogram::default();
         h.observe(10);
         assert_eq!(h.snapshot().count(), 0);
-        Gauge::noop().add(1);
-        MaxGauge::noop().observe(1);
-    }
-
-    #[test]
-    fn gate_pattern_monomorphizes_like_telemetry_enabled() {
-        fn instrument<G: MetricsGate>(c: &Counter) -> bool {
-            if G::ENABLED {
-                c.add(1);
-                return true;
-            }
-            false
-        }
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("gated", "gated counter");
-        assert!(!instrument::<MetricsOff>(&c));
-        assert_eq!(c.get(), 0, "disabled gate must not touch the counter");
-        assert!(instrument::<MetricsOn>(&c));
-        assert_eq!(c.get(), 1);
+        let g = Gauge::default();
+        g.add(1);
+        assert_eq!(g.get(), 0);
+        let m = MaxGauge::default();
+        m.observe(1);
+        assert_eq!(m.get(), 0);
     }
 
     #[test]
@@ -679,32 +600,6 @@ mod tests {
         assert_eq!(s.p99(), 100_000, "p99 reaches the slow bucket, clamped to max");
         assert_eq!(s.quantile(1.0), 100_000);
         assert_eq!(HistogramSnapshot::default().p50(), 0, "empty histogram quantiles are 0");
-    }
-
-    #[test]
-    fn histogram_merge_is_lossless() {
-        let reg = MetricsRegistry::new();
-        let a = reg.histogram("a", "");
-        let b = reg.histogram("b", "");
-        for v in [1u64, 5, 5, 300] {
-            a.observe(v);
-        }
-        for v in [2u64, 300, 40_000] {
-            b.observe(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        // The merged snapshot equals observing the union directly.
-        let u = reg.histogram("u", "");
-        for v in [1u64, 5, 5, 300, 2, 300, 40_000] {
-            u.observe(v);
-        }
-        assert_eq!(merged, u.snapshot());
-        // Handle-level merge too.
-        let c = reg.histogram("c", "");
-        c.merge(&a.snapshot());
-        c.merge(&b.snapshot());
-        assert_eq!(c.snapshot(), u.snapshot());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! driver applies each event as simulated time passes it. Deterministic by
 //! construction.
 
-use crate::routing::Router;
 use crate::sim::Network;
 use crate::topology::NodeId;
 
@@ -68,31 +67,10 @@ impl EventSchedule {
     }
 
     /// Timestamp of the next unapplied event — the horizon up to which
-    /// batched delivery may run without [`advance`](Self::advance) firing.
+    /// batched delivery may run without
+    /// [`advance_network`](Self::advance_network) firing.
     pub fn next_ts(&self) -> Option<u64> {
         self.events.get(self.cursor).map(|&(ts, _)| ts)
-    }
-
-    /// Apply every event with `ts ≤ now_ns` to the router; returns how many
-    /// fired. Routing-only view: switch events toggle reachability but no
-    /// device state exists to wipe — drivers that own a full [`Network`]
-    /// should use [`advance_network`](Self::advance_network) instead.
-    pub fn advance(&mut self, now_ns: u64, router: &mut Router) -> usize {
-        let mut fired = 0;
-        while let Some(&(ts, event)) = self.events.get(self.cursor) {
-            if ts > now_ns {
-                break;
-            }
-            match event {
-                NetworkEvent::FailLink { a, b } => router.fail_link(a, b),
-                NetworkEvent::RestoreLink { a, b } => router.restore_link(a, b),
-                NetworkEvent::FailSwitch { s } => router.fail_switch(s),
-                NetworkEvent::RestoreSwitch { s } => router.restore_switch(s),
-            }
-            self.cursor += 1;
-            fired += 1;
-        }
-        fired
     }
 
     /// Apply every event with `ts ≤ now_ns` to the full network: link
@@ -119,11 +97,6 @@ impl EventSchedule {
         }
         out
     }
-
-    /// Reset to the beginning (replaying a schedule).
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
@@ -136,40 +109,42 @@ mod tests {
         FlowKey { src_ip: 1, dst_ip: 2, src_port: 3, dst_port: 4, protocol: 6 }
     }
 
+    fn net(topo: Topology) -> Network {
+        Network::new(topo, newton_dataplane::PipelineConfig::default())
+    }
+
     #[test]
     fn events_apply_in_time_order() {
-        let mut router = Router::new(Topology::fat_tree(4));
+        let mut net = net(Topology::fat_tree(4));
         // Insert out of order; fail at t=100, restore at t=200.
         let mut sched = EventSchedule::new()
             .at(200, NetworkEvent::RestoreLink { a: 4, b: 0 })
             .at(100, NetworkEvent::FailLink { a: 4, b: 0 });
 
-        assert_eq!(sched.advance(50, &mut router), 0);
-        assert!(router.link_up(4, 0));
-        assert_eq!(sched.advance(150, &mut router), 1);
-        assert!(!router.link_up(4, 0));
-        assert_eq!(sched.advance(250, &mut router), 1);
-        assert!(router.link_up(4, 0));
+        assert_eq!(sched.advance_network(50, &mut net).fired, 0);
+        assert!(net.router().link_up(4, 0));
+        assert_eq!(sched.advance_network(150, &mut net).fired, 1);
+        assert!(!net.router().link_up(4, 0));
+        assert_eq!(sched.advance_network(250, &mut net).fired, 1);
+        assert!(net.router().link_up(4, 0));
         assert_eq!(sched.pending(), 0);
     }
 
     #[test]
     fn failure_changes_paths_and_restore_heals() {
-        let topo = Topology::chain(3);
-        let mut router = Router::new(topo);
+        let mut net = net(Topology::chain(3));
         let mut sched = EventSchedule::new()
             .at(10, NetworkEvent::FailLink { a: 1, b: 2 })
             .at(20, NetworkEvent::RestoreLink { a: 1, b: 2 });
-        sched.advance(15, &mut router);
-        assert!(router.path(0, 2, &flow()).is_none());
-        sched.advance(25, &mut router);
-        assert_eq!(router.path(0, 2, &flow()).unwrap(), vec![0, 1, 2]);
+        sched.advance_network(15, &mut net);
+        assert!(net.router().path(0, 2, &flow()).is_none());
+        sched.advance_network(25, &mut net);
+        assert_eq!(net.router().path(0, 2, &flow()).unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
     fn switch_events_wipe_and_restore_blank() {
-        use newton_dataplane::PipelineConfig;
-        let mut net = Network::new(Topology::chain(3), PipelineConfig::default());
+        let mut net = net(Topology::chain(3));
         // Give the middle switch something to lose: a slice assignment.
         net.switch_mut(1)
             .add_slice(7, newton_dataplane::SliceInfo::whole())
@@ -190,16 +165,5 @@ mod tests {
         assert!(net.router().path(0, 2, &flow()).is_some());
         assert!(net.switch(1).assigned_slices(7).is_empty(), "restore comes back blank");
         assert_eq!(sched.pending(), 0);
-    }
-
-    #[test]
-    fn rewind_replays() {
-        let mut router = Router::new(Topology::chain(2));
-        let mut sched = EventSchedule::new().at(5, NetworkEvent::FailLink { a: 0, b: 1 });
-        assert_eq!(sched.advance(10, &mut router), 1);
-        sched.rewind();
-        router.restore_link(0, 1);
-        assert_eq!(sched.advance(10, &mut router), 1);
-        assert!(!router.link_up(0, 1));
     }
 }

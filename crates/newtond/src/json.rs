@@ -392,7 +392,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Value::Num).map_err(|_| self.err("invalid number"))
+        let n = text.parse::<f64>().map_err(|_| self.err("invalid number"))?;
+        // `1e999` overflows to infinity, which has no JSON rendering.
+        if !n.is_finite() {
+            return Err(self.err("number out of range"));
+        }
+        Ok(Value::Num(n))
     }
 }
 
@@ -430,6 +435,14 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("{\"a\":01e}").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_out_of_range() {
+        for big in ["1e999", "-1e999", "[1e999]"] {
+            assert_eq!(parse(big).unwrap_err().msg, "number out of range", "{big}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Value::Num(1e308));
     }
 
     #[test]

@@ -157,14 +157,16 @@ impl<'a> Parser<'a> {
         }
         let field = self.field(&name)?;
         if self.eat("/") {
-            let prefix = self.number()? as u32;
-            if prefix == 0 || prefix > field.width() {
+            // Range-check the full parsed value: narrowing first would
+            // wrap `/4294967320` to `/24`.
+            let prefix = self.number()?;
+            if prefix == 0 || prefix > u64::from(field.width()) {
                 return Err(self.error(format!(
                     "prefix /{prefix} out of range for {field} (1..={})",
                     field.width()
                 )));
             }
-            Ok(FieldExpr::prefix(field, prefix))
+            Ok(FieldExpr::prefix(field, prefix as u32))
         } else {
             Ok(FieldExpr::whole(field))
         }
@@ -542,6 +544,20 @@ mod tests {
             let back =
                 parse_query(&q.name, &text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", q.name));
             assert_eq!(back, q, "{}:\n{text}", q.name);
+        }
+    }
+
+    #[test]
+    fn prefix_lengths_are_range_checked_before_narrowing() {
+        let text = |p: &str| format!("map(dip/{p}) | reduce(dip/{p}, count) | where >= 5");
+        for bad in ["4294967320", "33"] {
+            let e = parse_query("p", &text(bad)).unwrap_err();
+            assert!(e.message.contains("out of range"), "/{bad}: {e}");
+        }
+        let q = parse_query("p", &text("24")).unwrap();
+        match &q.branches[0].primitives[0] {
+            Primitive::Map(keys) => assert_eq!(keys[0].prefix, 24),
+            other => panic!("expected map, got {other:?}"),
         }
     }
 

@@ -6,7 +6,7 @@
 //! ```
 
 use newton::analyzer::OverheadMeter;
-use newton::compiler::{compile, CompilerConfig};
+use newton::compiler::{compile, stats_for, CompilerConfig};
 use newton::dataplane::{PipelineConfig, Switch};
 use newton::packet::flow::fmt_ipv4;
 use newton::packet::FieldVector;
@@ -31,7 +31,7 @@ fn main() {
         compiled.rules.module_rule_count(),
         compiled.rules.init.len(),
         compiled.composition.stages(),
-        compiled.stats.naive_stages(),
+        stats_for(&query, &CompilerConfig::default()).naive_stages(),
     );
 
     // 3. Install into a live switch — a pure table-rule operation.

@@ -145,6 +145,20 @@ fn request_lines() -> Vec<String> {
     REQUEST_LINES.iter().map(|s| s.to_string()).collect()
 }
 
+/// A JSON array of number literals whose exponents run past both ends of
+/// `f64`'s range.
+fn number_line() -> impl Strategy<Value = String> {
+    prop::collection::vec((any::<bool>(), any::<u16>(), 0u16..800), 1..4).prop_map(|nums| {
+        let nums: Vec<String> = nums
+            .iter()
+            .map(|&(neg, digits, e)| {
+                format!("{}{digits}e{}", if neg { "-" } else { "" }, i32::from(e) - 400)
+            })
+            .collect();
+        format!("[{}]", nums.join(","))
+    })
+}
+
 fn intents() -> Vec<String> {
     let mut texts: Vec<String> = catalog::all_queries().iter().map(to_text).collect();
     texts.push(
@@ -266,6 +280,20 @@ proptest! {
     #[test]
     fn json_parse_never_panics(line in text_input(request_lines())) {
         no_panic("json::parse", || drop(json::parse(&line)))?;
+    }
+
+    /// Every value `json::parse` accepts renders to text that parses
+    /// back equal, for request lines and for number literals beyond
+    /// `f64`'s range (which must not parse as infinity).
+    #[test]
+    fn json_accepted_values_render_back_to_json(
+        line in (any::<bool>(), text_input(request_lines()), number_line())
+            .prop_map(|(numbers, text, nums)| if numbers { nums } else { text })
+    ) {
+        if let Ok(value) = no_panic("json::parse", || json::parse(&line))? {
+            let text = value.to_string();
+            prop_assert_eq!(json::parse(&text).ok(), Some(value), "{} rendered as {}", line, text);
+        }
     }
 
     /// A string of `\uXXXX` escapes decodes exactly as UTF-16 does: a

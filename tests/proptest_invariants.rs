@@ -1,7 +1,7 @@
 //! Property-based invariants over the core data structures and the
 //! compiler, on randomized inputs.
 
-use newton::compiler::{compile, compile_sliced, CompilerConfig, OptLevel};
+use newton::compiler::{compile, compile_sliced, stats_for, CompilerConfig, OptLevel};
 use newton::packet::{
     Field, FieldVector, Packet, PacketBuilder, Protocol, SnapshotHeader, TcpFlags,
 };
@@ -138,7 +138,7 @@ proptest! {
             prop_assert!(*count <= budget);
         }
         // Optimization ladder is monotone for arbitrary queries too.
-        let stats = &c.stats;
+        let stats = stats_for(&q, &cfg);
         for w in stats.levels.windows(2) {
             prop_assert!(w[1].1 <= w[0].1);
             prop_assert!(w[1].2 <= w[0].2);
