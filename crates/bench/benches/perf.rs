@@ -1,7 +1,10 @@
 //! Library performance: single-switch pipeline throughput (compiled
 //! `ExecPlan` path vs the per-packet reference path, plus the telemetry
-//! sinks on the compiled path) and network delivery throughput
-//! (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9 workload.
+//! sinks on the compiled path), the ingress walk's cost per query (each
+//! of Q1–Q9 alone against an empty switch, and Q3 against the same sketch
+//! updates made directly through `newton-sketch`), and network delivery
+//! throughput (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9
+//! workload.
 //!
 //! Prints a table and writes machine-readable results to `BENCH_perf.json`
 //! at the repository root.
@@ -29,8 +32,9 @@ use std::time::Instant;
 use newton::compiler::{compile, CompilerConfig};
 use newton::dataplane::{PipelineConfig, Switch};
 use newton::net::{Network, NodeId, Topology};
-use newton::packet::Packet;
+use newton::packet::{Field, FieldVector, Packet};
 use newton::query::catalog;
+use newton::sketch::{BloomFilter, CountMinSketch};
 use newton::telemetry::{NoopSink, Recorder};
 use newton_bench::{evaluation_traces, peak_rss_json, print_table};
 
@@ -134,6 +138,66 @@ fn main() {
         packets.iter().map(|p| sw.process_sink(p, None, &mut recorder).reports.len()).sum()
     });
     assert_eq!(recorder_sink, plan_sink, "the recorder sink must not change pipeline behaviour");
+
+    // --- Ingress walk per query: `Switch::process` with no snapshot on an
+    // empty switch and on a default switch holding one query, and Q3's
+    // floor — the 3 Bloom inserts and, for fresh (sip, dip) pairs, the 2
+    // Count-Min updates its rules model, made directly through
+    // `newton-sketch`, field parse included. No gate: the rows show how
+    // far the rule interpreter sits above the work it models.
+    let ingress_ns = |sw: &mut Switch| {
+        let (rate, _) = best_rate(packets.len(), pipeline_reps, || {
+            packets.iter().map(|p| sw.process(p, None).reports.len()).sum()
+        });
+        1e9 / rate
+    };
+    let empty_ns = ingress_ns(&mut Switch::new(PipelineConfig::default()));
+    let per_query_ns: Vec<(String, f64)> = catalog::all_queries()
+        .iter()
+        .map(|q| {
+            let mut sw = Switch::new(PipelineConfig::default());
+            sw.install(&compile(q, 1, &CompilerConfig::default()).rules).unwrap();
+            (q.name.clone(), ingress_ns(&mut sw))
+        })
+        .collect();
+    let registers = PipelineConfig::default().registers_per_array as u32;
+    let (pair, src) = (Field::SrcIp.mask() | Field::DstIp.mask(), Field::SrcIp.mask());
+    let mut bloom = BloomFilter::new(3, registers, 11);
+    let mut cms = CountMinSketch::new(2, registers, 13);
+    let (floor_rate, _) = best_rate(packets.len(), pipeline_reps, || {
+        packets
+            .iter()
+            .map(|p| {
+                let fields = FieldVector::from_packet(p);
+                if bloom.insert(fields.masked(pair).0) {
+                    cms.update(fields.masked(src).0, 1) as usize
+                } else {
+                    0
+                }
+            })
+            .sum()
+    });
+    let q3_floor_ns = 1e9 / floor_rate;
+    let q3_ns = per_query_ns[2].1;
+    let mut ingress_rows = vec![vec!["empty switch".into(), format!("{empty_ns:.0}"), "-".into()]];
+    for (name, ns) in &per_query_ns {
+        ingress_rows.push(vec![name.clone(), format!("{ns:.0}"), format!("+{:.0}", ns - empty_ns)]);
+    }
+    ingress_rows.push(vec![
+        "Q1–Q9 together".into(),
+        format!("{:.0}", 1e9 / plan_rate),
+        format!("+{:.0}", 1e9 / plan_rate - empty_ns),
+    ]);
+    ingress_rows.push(vec![
+        "Q3 floor (newton-sketch: 3 Bloom + 2 CM)".into(),
+        format!("{q3_floor_ns:.0}"),
+        format!("Q3 increment = {:.1}x floor", (q3_ns - empty_ns) / q3_floor_ns),
+    ]);
+    print_table(
+        "Ingress walk per query (Switch::process, no snapshot)",
+        &["Switch", "ns/pkt", "Increment over empty (ns)"],
+        &ingress_rows,
+    );
 
     // --- Network delivery: per-packet deliver vs deliver_batch, timed
     // identically (fastest of N passes).
@@ -239,6 +303,8 @@ fn main() {
         return;
     }
 
+    let per_query_json: Vec<String> =
+        per_query_ns.iter().map(|(name, ns)| format!("\"{name}\": {ns:.1}")).collect();
     let json = format!(
         "{{\n  \"workload\": \"Q1-Q9, CAIDA-like trace, {} packets\",\n  \
          \"timing\": \"fastest of {delivery_reps} passes after 1 warm-up pass\",\n  \
@@ -247,6 +313,9 @@ fn main() {
          \"pipeline_speedup\": {pipeline_speedup:.3},\n  \
          \"pipeline_noop_sink_pkts_per_sec\": {noop_rate:.0},\n  \
          \"pipeline_recorder_pkts_per_sec\": {recorder_rate:.0},\n  \
+         \"ingress_empty_ns_per_pkt\": {empty_ns:.1},\n  \
+         \"ingress_ns_per_pkt\": {{{}}},\n  \
+         \"ingress_q3_sketch_floor_ns_per_pkt\": {q3_floor_ns:.1},\n  \
          \"delivery_sequential_pkts_per_sec\": {seq_rate:.0},\n  \
          \"delivery_batch_pkts_per_sec\": {batch_rate:.0},\n  \
          \"delivery_speedup\": {delivery_speedup:.3},\n  \
@@ -255,6 +324,7 @@ fn main() {
          \"peak_rss_bytes\": {},\n  \
          \"benched_on_cores\": {cores}\n}}\n",
         packets.len(),
+        per_query_json.join(", "),
         peak_rss_json(),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");

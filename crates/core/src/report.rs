@@ -22,23 +22,31 @@ pub struct ReportOptions {
 }
 
 impl ReportOptions {
-    /// Scan the process command line for `--report` and `--json PATH`.
-    /// Unknown flags are ignored (examples parse their own, e.g.
-    /// `--stream`).
-    pub fn from_args() -> Self {
+    /// Parse `--report` and `--json PATH` from a command line, program
+    /// name excluded. Unknown flags are ignored (examples parse their own,
+    /// e.g. `--stream`). A `--json` with nothing after it, or followed by
+    /// another flag (`--json --stream`), is an error: taking the flag as
+    /// the path would write the journal to a file named after it.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = ReportOptions::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--report" => opts.table = true,
-                "--json" => {
-                    let path = args.next().expect("--json expects a file path");
-                    opts.json = Some(PathBuf::from(path));
-                }
+                "--json" => match args.next() {
+                    Some(path) if !path.starts_with("--") => opts.json = Some(PathBuf::from(path)),
+                    Some(flag) => return Err(format!("--json expects a file path, got {flag}")),
+                    None => return Err("--json expects a file path".into()),
+                },
                 _ => {}
             }
         }
-        opts
+        Ok(opts)
+    }
+
+    /// [`parse`](Self::parse) over the process command line.
+    pub fn from_args() -> Result<Self, String> {
+        Self::parse(std::env::args().skip(1))
     }
 
     /// Whether the run needs a recorder attached (journal export).
@@ -110,5 +118,34 @@ pub fn emit(sys: &mut NewtonSystem, report: &RunReport, opts: &ReportOptions) {
         };
         std::fs::write(path, rec.journal.to_jsonl()).expect("write --json journal");
         println!("telemetry journal written to {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ReportOptions, String> {
+        ReportOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn json_without_a_path_is_an_error() {
+        assert!(parse(&["--json"]).is_err());
+        assert!(parse(&["--report", "--json"]).is_err());
+    }
+
+    #[test]
+    fn json_followed_by_a_flag_is_an_error() {
+        let err = parse(&["--json", "--stream"]).unwrap_err();
+        assert!(err.contains("--stream"), "{err}");
+    }
+
+    #[test]
+    fn report_and_json_path_parse() {
+        let opts = parse(&["--report", "--json", "out.jsonl"]).unwrap();
+        assert_eq!(opts, ReportOptions { table: true, json: Some(PathBuf::from("out.jsonl")) });
+        assert!(opts.wants_recorder());
+        assert_eq!(parse(&["--stream"]).unwrap(), ReportOptions::default());
     }
 }

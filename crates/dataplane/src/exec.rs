@@ -2,283 +2,544 @@
 //!
 //! Newton's data plane is a *fixed* engine reconfigured only by table-rule
 //! updates (§4.1) — so the per-packet path should never re-derive dispatch
-//! state from the mutable configuration. This module mirrors that split in
-//! the simulator: every configuration call that changes a switch
-//! (`install`, `remove_query`, `add_slice`, `set_slice`, `apply_slices`)
-//! ends in one eager recompile of a flattened, immutable [`ExecPlan`];
-//! [`Switch::process`](crate::Switch::process) only *reads* the plan,
-//! walking each of the packet's lanes through it with no heap allocation
-//! for dispatch.
+//! state, or re-read a rule, from the mutable configuration. This module
+//! mirrors that split in the simulator: every configuration call that
+//! changes a switch (`install`, `remove_query`, `add_slice`, `set_slice`,
+//! `apply_slices`, and the in-place retune `update_r_rules`) recompiles
+//! the queries it touches into an [`ExecPlan`] before it returns;
+//! [`Switch::process`](crate::Switch::process) only *reads* the plan.
 //!
-//! A recompile is one pass over the switch's tables that groups every
-//! module rule's `(stage, slot, index)` by query, followed by one cut of
-//! each dispatch's stage range out of its query's group. Its cost grows
-//! with the rules held plus the plan size, not with their product.
+//! The plan holds one decoded program per query (`QueryCode`). Compiling
+//! a query is one filtered scan of the module tables that copies each of
+//! its rules into a flat step carrying the rule's whole payload:
 //!
-//! The plan pre-resolves four things the seed path recomputed per packet:
+//! * 𝕂 — the field mask;
+//! * ℍ — a ready [`HashFn`] (seed and range) and the offset, or the
+//!   direct-mode field;
+//! * 𝕊 — the bank's `(stage, slot)` and the SALU op;
+//! * ℝ — each rule's matches, priority and actions.
 //!
-//! * **classification** — every `newton_init` ternary entry is compiled to
-//!   one `(value, mask)` pair over the full 128-bit field vector, so
-//!   classifying a packet is a linear scan of `AND`+compare over `u128`s
-//!   instead of a per-entry walk of heap-allocated match lists. Entries
-//!   that can never match (a required value bit outside its field's width,
-//!   or two matches demanding different values of one bit) are dropped at
-//!   compile time — the interpreted table rejects them on every packet,
-//!   the compiled one pays nothing.
-//! * **slice-0 dispatch** — query id → the slice `newton_init` activates
-//!   (replacing a `HashMap` lookup + linear scan per classified query),
+//! The packet walk therefore reads no rule table; only 𝕊 reaches into the
+//! switch, for its registers. Other queries' programs are untouched by a
+//! recompile, because a step holds payloads, not table positions.
+//!
+//! Next to the programs the plan keeps two indices, rebuilt after every
+//! configuration call except a retune (which cannot change them):
+//!
+//! * **classification** — every `newton_init` ternary entry compiled to
+//!   one `(value, mask)` pair over the full 128-bit field vector and
+//!   tagged with its query's program, grouped by program in query-id
+//!   order, so classifying a packet is a linear scan of `AND`+compare
+//!   over `u128`s that yields the programs to run already sorted. Entries
+//!   that can never match (a required value bit outside its field's
+//!   width, or two matches demanding different values of one bit) are
+//!   dropped at compile time.
 //! * **resume-by-cursor dispatch** — snapshot cursor → the unique later
-//!   slice it resumes (replacing a full scan of every slice assignment;
-//!   uniqueness is guaranteed because conflicting assignments are rejected
-//!   at configuration time — the snapshot header carries no query id, so
-//!   two slices resuming at one cursor would be ambiguous),
-//! * **per-stage op lists** — for each (query, slice), the module slots
-//!   that actually hold rules of that query, grouped by stage, each with
-//!   the table indices of exactly those rules (so execution never scans
-//!   other queries' rules); stages with no ops for the query are skipped
-//!   entirely.
+//!   slice it resumes (uniqueness is guaranteed because conflicting
+//!   assignments are rejected at configuration time — the snapshot header
+//!   carries no query id, so two slices resuming at one cursor would be
+//!   ambiguous).
 //!
-//! Dispatches live in one dense table ([`ExecPlan::dispatch`]), addressed
-//! by the plain `u32` indices [`ExecPlan::slice0_idx`] and
-//! [`ExecPlan::resume_idx`] return.
+//! ## One lane state per stage
 //!
-//! A *lane* is one (packet, query) walk of a dispatch's stage runs: the
-//! packet's fields, a live stage-exit `LaneState` and its frozen
-//! stage-entry copy, which every module kernel reads (stage semantics:
-//! writers in a stage are invisible to readers in the same stage).
+//! A *lane* is one (packet, query) walk of a slice's steps on one
+//! `LaneState`. Stage semantics say every module of a stage reads the
+//! state as it entered the stage. Instead of freezing a copy of that
+//! state per stage, a stage's steps run in reverse pipeline order — ℝ,
+//! 𝕊, ℍ, 𝕂, ordered by module kind — with the stage-entry branch mask
+//! held in a local. In that order every kind runs before every kind that
+//! writes what it reads:
+//!
+//! | Kind | Reads | Writes |
+//! |---|---|---|
+//! | ℝ | branch mask, state result, global, op keys and hash (reports) | global, branch mask |
+//! | 𝕊 | branch mask, hash result, packet fields | state result, registers |
+//! | ℍ | branch mask, op keys | hash result |
+//! | 𝕂 | branch mask, packet fields | op keys |
+//!
+//! Both layouts hold each kind at most once per stage (pinned by a
+//! `layout` test), so no two steps of one kind from different instances
+//! share a stage, and the single state reproduces the reference walk's
+//! entry/exit pair exactly.
 
 use crate::init::InitTable;
 use crate::phv::{MetadataSet, Report, SetId, GLOBAL_INIT};
-use crate::rules::QueryId;
-use crate::switch::{Instance, SliceInfo};
-use newton_packet::{FieldVector, SnapshotHeader};
-use newton_sketch::FastMap;
-
-/// One dispatchable slice: its assignment plus the range of its compiled
-/// stage runs in the plan's pooled op tables.
-///
-/// All dispatches share three plan-global pools (`ExecPlan::run`,
-/// `ExecPlan::ops`, `ExecPlan::rules`) instead of owning per-slice
-/// vectors: for a full query catalog the pools total about a kilobyte, so
-/// the entire dispatch structure stays hot in L1 and the lane walk's
-/// per-run lookups are single array loads with no pointer chase through
-/// per-slice allocations.
-#[derive(Debug, Clone)]
-pub struct SliceDispatch {
-    /// The slice assignment (stage range, capture/restore sets, totals).
-    pub info: SliceInfo,
-    /// `[lo, hi)` range of this slice's stage runs in the plan's run pool.
-    pub(crate) runs: (u32, u32),
-}
+use crate::rules::{HashMode, QueryId, RAction, RMatch, SaluOp};
+use crate::switch::{Instance, SliceInfo, DEAD_MARKER};
+use newton_packet::{Field, FieldVector, SnapshotHeader};
+use newton_sketch::{FastMap, HashFn};
 
 /// One compiled `newton_init` entry: a ternary match over the whole
-/// 128-bit field vector.
+/// 128-bit field vector, tagged with the program it dispatches.
 #[derive(Debug, Clone, Copy)]
 struct CompiledInitRule {
     /// Required values of the masked bits (`value & mask == value`).
     value: u128,
     /// Bits the entry constrains.
     mask: u128,
-    query: QueryId,
+    /// Index of the query's program in [`ExecPlan::codes`].
+    code: u32,
     branch_mask: u32,
 }
 
-/// The immutable execution plan compiled from a switch's configuration.
+/// One slice of a query this switch executes: its assignment plus the
+/// range of its steps in the query's program.
+#[derive(Debug, Clone, Copy)]
+struct Dispatch {
+    info: SliceInfo,
+    steps: (u32, u32),
+}
+
+/// One decoded step of a query's program. Steps are 24 bytes (the 𝕂 mask
+/// is stored as two words so no field needs 16-byte alignment), and a
+/// query's steps sit in one exactly sized vector.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Start of a stage that follows an ℝ op able to stop a branch: a dead
+    /// lane stops here, a live one takes its branch mask as the new
+    /// stage-entry mask. Other stages need no marker: every step is gated
+    /// on the entry mask, which only `StopBranch` changes, so a lane's
+    /// mask can only go stale, or the lane die, after such an op.
+    Stage,
+    /// ℝ: the query's rules on one instance, `rules[lo..hi]`, in table
+    /// order.
+    R { lo: u32, hi: u32 },
+    /// 𝕊: one SALU op on the bank at `(stage, slot)`.
+    S { branch: u8, set: SetId, stage: u32, slot: u32, op: SaluOp },
+    /// ℍ in hash mode: the set's op keys hashed into the hash result.
+    Hash { branch: u8, set: SetId, hash: HashFn, offset: u32 },
+    /// ℍ in direct mode: one op-key field as the hash result.
+    Direct { branch: u8, set: SetId, field: Field, offset: u32 },
+    /// 𝕂: the packet fields under `mask` (low, high word) as op keys.
+    K { branch: u8, set: SetId, mask: [u64; 2] },
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() == 24);
+
+/// One decoded ℝ rule.
+#[derive(Debug, Clone, Copy)]
+struct RStep {
+    branch: u8,
+    set: SetId,
+    priority: i32,
+    state_match: RMatch,
+    global_match: RMatch,
+    /// `actions[lo..hi]` of the query's program.
+    actions: (u32, u32),
+}
+
+/// One query's decoded program on one switch.
+#[derive(Debug, Clone, Default)]
+struct QueryCode {
+    query: QueryId,
+    /// Slice 0, when this switch holds it and `newton_init` can classify
+    /// the query.
+    slice0: Option<Dispatch>,
+    /// The later slices this switch holds.
+    later: Vec<Dispatch>,
+    /// Every stage's steps in stage order, ℝ, 𝕊, ℍ, 𝕂 within a stage.
+    steps: Vec<Step>,
+    rules: Vec<RStep>,
+    actions: Vec<RAction>,
+}
+
+impl QueryCode {
+    /// Decode the query's rules from the module tables into `steps`, in
+    /// one filtered scan, and cut each slice's step range. The vectors
+    /// are refilled in place and trimmed to their length, so a retune,
+    /// which keeps every length, reallocates nothing.
+    fn decode(&mut self, stages: &[Vec<Instance>]) {
+        let QueryCode { query, slice0, later, steps, rules, actions } = self;
+        let query = *query;
+        steps.clear();
+        rules.clear();
+        actions.clear();
+        for d in slice0.iter_mut().chain(later.iter_mut()) {
+            d.steps = (u32::MAX, u32::MAX);
+        }
+        // Whether an ℝ op since the last marker can stop a branch.
+        let mut stale = false;
+        for (stage, insts) in stages.iter().enumerate() {
+            let at = steps.len() as u32;
+            for d in slice0.iter_mut().chain(later.iter_mut()) {
+                let (lo, hi) = d.info.stages;
+                if stage >= lo && d.steps.0 == u32::MAX {
+                    d.steps.0 = at;
+                }
+                if stage >= hi && d.steps.1 == u32::MAX {
+                    d.steps.1 = at;
+                }
+            }
+            if stale {
+                steps.push(Step::Stage);
+            }
+            let opened = steps.len();
+            let mut stops = false;
+            // Reverse pipeline order by kind: at most one instance each.
+            let mut by_kind: [Option<(usize, &Instance)>; 4] = [None; 4];
+            for (slot, inst) in insts.iter().enumerate() {
+                let at = &mut by_kind[3 - inst.kind().depth()];
+                debug_assert!(at.is_none(), "stage {stage} holds two instances of one kind");
+                *at = Some((slot, inst));
+            }
+            for (slot, inst) in by_kind.into_iter().flatten() {
+                match inst {
+                    Instance::R(m) => {
+                        let lo = rules.len() as u32;
+                        for r in m.rules().iter().filter(|r| r.query == query) {
+                            stops |= r.actions.contains(&RAction::StopBranch);
+                            let at = actions.len() as u32;
+                            actions.extend_from_slice(&r.actions);
+                            rules.push(RStep {
+                                branch: r.branch,
+                                set: r.set,
+                                priority: r.priority,
+                                state_match: r.state_match,
+                                global_match: r.global_match,
+                                actions: (at, actions.len() as u32),
+                            });
+                        }
+                        let hi = rules.len() as u32;
+                        if hi > lo {
+                            steps.push(Step::R { lo, hi });
+                        }
+                    }
+                    Instance::S(m) => {
+                        steps.extend(m.rules().iter().filter(|r| r.query == query).map(|r| {
+                            Step::S {
+                                branch: r.branch,
+                                set: r.set,
+                                stage: stage as u32,
+                                slot: slot as u32,
+                                op: r.op,
+                            }
+                        }))
+                    }
+                    Instance::H(m) => {
+                        steps.extend(m.rules().iter().filter(|r| r.query == query).map(|r| {
+                            let (branch, set, offset) = (r.branch, r.set, r.offset);
+                            match r.mode {
+                                HashMode::Hash { seed, range } => {
+                                    let hash = HashFn::new(seed, range);
+                                    Step::Hash { branch, set, hash, offset }
+                                }
+                                HashMode::Direct(field) => {
+                                    Step::Direct { branch, set, field, offset }
+                                }
+                            }
+                        }))
+                    }
+                    Instance::K(m) => {
+                        steps.extend(m.rules().iter().filter(|r| r.query == query).map(|r| {
+                            Step::K {
+                                branch: r.branch,
+                                set: r.set,
+                                mask: [r.mask as u64, (r.mask >> 64) as u64],
+                            }
+                        }))
+                    }
+                }
+            }
+            if steps.len() > opened {
+                stale = stops;
+            } else if stale {
+                steps.pop();
+            }
+        }
+        steps.shrink_to_fit();
+        rules.shrink_to_fit();
+        actions.shrink_to_fit();
+        let end = steps.len() as u32;
+        for d in slice0.iter_mut().chain(later.iter_mut()) {
+            let lo = d.steps.0.min(end);
+            d.steps = (lo, d.steps.1.min(end).max(lo));
+        }
+    }
+
+    /// Walk one lane through `d`'s steps. Reports go straight to the
+    /// packet's output, in emission order.
+    #[inline]
+    fn run(
+        &self,
+        d: &Dispatch,
+        stages: &mut [Vec<Instance>],
+        fields: FieldVector,
+        lane: &mut LaneState,
+        reports: &mut Vec<Report>,
+    ) {
+        let mut entry = lane.active;
+        for step in &self.steps[d.steps.0 as usize..d.steps.1 as usize] {
+            match *step {
+                Step::Stage => {
+                    if lane.active == 0 {
+                        break;
+                    }
+                    entry = lane.active;
+                }
+                Step::R { lo, hi } => {
+                    self.result(&self.rules[lo as usize..hi as usize], entry, lane, reports)
+                }
+                Step::S { branch, set, stage, slot, op } => {
+                    if lane_branch_active(entry, branch) {
+                        let Instance::S(bank) = &mut stages[stage as usize][slot as usize] else {
+                            unreachable!("𝕊 steps address state banks")
+                        };
+                        let s = &mut lane.sets[set.index()];
+                        s.state_result = bank.apply(op, s.hash_result, fields);
+                    }
+                }
+                Step::Hash { branch, set, hash, offset } => {
+                    if lane_branch_active(entry, branch) {
+                        let s = &mut lane.sets[set.index()];
+                        s.hash_result = hash.hash(s.op_keys).wrapping_add(offset);
+                    }
+                }
+                Step::Direct { branch, set, field, offset } => {
+                    if lane_branch_active(entry, branch) {
+                        let s = &mut lane.sets[set.index()];
+                        s.hash_result =
+                            (FieldVector(s.op_keys).get(field) as u32).wrapping_add(offset);
+                    }
+                }
+                Step::K { branch, set, mask: [lo, hi] } => {
+                    if lane_branch_active(entry, branch) {
+                        let mask = (hi as u128) << 64 | lo as u128;
+                        lane.sets[set.index()].op_keys = fields.masked(mask).0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One ℝ op, the decoded twin of
+    /// [`RModule::execute`](crate::modules::RModule::execute): per
+    /// branch, the highest-priority matching rule (the earliest on a tie)
+    /// fires, branches in the table order of their first matching rule.
+    /// Matching reads the stage-entry branch mask and global result; ℝ
+    /// runs first in its stage, so the lane's sets still hold their
+    /// stage-entry values throughout.
+    fn result(&self, rules: &[RStep], entry: u32, lane: &mut LaneState, reports: &mut Vec<Report>) {
+        let global = lane.global;
+        let states = [lane.sets[0].state_result, lane.sets[1].state_result];
+        let hit = |r: &RStep| {
+            lane_branch_active(entry, r.branch)
+                && r.state_match.contains(states[r.set.index()])
+                && r.global_match.contains(global)
+        };
+        for (i, r) in rules.iter().enumerate() {
+            if !hit(r) || rules[..i].iter().any(|p| p.branch == r.branch && hit(p)) {
+                continue;
+            }
+            let best = rules[i + 1..]
+                .iter()
+                .filter(|p| p.branch == r.branch && hit(p))
+                .fold(r, |best, p| if p.priority > best.priority { p } else { best });
+            let set = lane.sets[best.set.index()];
+            for &action in &self.actions[best.actions.0 as usize..best.actions.1 as usize] {
+                fire(action, self.query, r.branch, &set, lane, reports);
+            }
+        }
+    }
+}
+
+/// Apply one fired ℝ action to a lane (the decoded twin of the reference
+/// `RModule::fire`): `set` is the rule's metadata set as it entered the
+/// stage; the global result and branch mask mutate in place.
+#[inline]
+fn fire(
+    action: RAction,
+    query: QueryId,
+    branch: u8,
+    set: &MetadataSet,
+    lane: &mut LaneState,
+    reports: &mut Vec<Report>,
+) {
+    let state = set.state_result;
+    let global = &mut lane.global;
+    match action {
+        RAction::Report => reports.push(Report {
+            query,
+            branch,
+            op_keys: set.op_keys,
+            hash_result: set.hash_result,
+            state_result: set.state_result,
+            global_result: *global,
+        }),
+        RAction::StopBranch => lane.active &= !(1 << branch),
+        RAction::GlobalMin => *global = (*global).min(state),
+        RAction::GlobalMax => {
+            let g = if *global == GLOBAL_INIT { 0 } else { *global };
+            *global = g.max(state);
+        }
+        RAction::GlobalAdd => {
+            let g = if *global == GLOBAL_INIT { 0 } else { *global };
+            *global = g.saturating_add(state);
+        }
+        RAction::GlobalSub => {
+            let g = if *global == GLOBAL_INIT { 0 } else { *global };
+            *global = g.saturating_sub(state);
+        }
+        RAction::GlobalSet => *global = state,
+        RAction::GlobalReset => *global = GLOBAL_INIT,
+    }
+}
+
+/// The compiled execution plan of one switch: a decoded program per
+/// query plus the classification and resume indices over them.
 #[derive(Debug, Clone, Default)]
 pub struct ExecPlan {
-    /// Every compiled slice dispatch, addressed by index from
-    /// [`slice0_idx`](Self::slice0_idx) / [`resume_idx`](Self::resume_idx).
-    dispatches: Vec<SliceDispatch>,
-    /// Sorted by query id: the slice-0 dispatch for every query
-    /// `newton_init` can classify. `None` when the switch holds only later
-    /// slices of the query (classification then skips it).
-    slice0: Vec<(QueryId, Option<u32>)>,
-    /// Sorted by cursor: the unique later slice resuming at each cursor.
-    resume: Vec<(u8, QueryId, u32)>,
-    /// Compiled `newton_init` entries, in table order (minus entries that
-    /// can never match).
+    /// Every dispatchable query's program, sorted by query id.
+    codes: Vec<QueryCode>,
+    /// Sorted by cursor: the unique later slice resuming at each cursor,
+    /// as `(cursor, program, slice)`.
+    resume: Vec<(u8, u32, u32)>,
+    /// Compiled `newton_init` entries of every program holding slice 0,
+    /// grouped by program.
     classifier: Vec<CompiledInitRule>,
-    /// Pooled stage runs of every dispatch: `(stage, ops_lo, ops_hi)`
-    /// where `ops_pool[ops_lo..ops_hi]` are the stage's ops.
-    runs_pool: Vec<(u32, u32, u32)>,
-    /// Pooled ops: `(slot, rlo, rhi)` — the module slot plus its rule
-    /// indices `rules_pool[rlo..rhi]`.
-    ops_pool: Vec<(u32, u32, u32)>,
-    /// Pooled rule-table indices: the positions of a query's rules within
-    /// each instance's table, in table order.
-    rules_pool: Vec<u32>,
 }
 
 impl ExecPlan {
-    /// Compile the plan from a switch's configuration: its `newton_init`
-    /// table, its slice assignments and its module instances per stage.
-    ///
-    /// One pass over the module tables groups every rule by query
-    /// (`RulesByQuery`); each dispatch then cuts its stage range out of
-    /// its own query's group, so no table is scanned once per dispatch.
-    pub(crate) fn build(
+    /// Recompile the programs of `queries` from the switch's
+    /// configuration, then rebuild the classification and resume indices.
+    /// A query left with nothing to dispatch loses its program.
+    pub(crate) fn recompile(
+        &mut self,
+        queries: &[QueryId],
         init: &InitTable,
         slices: &FastMap<QueryId, Vec<SliceInfo>>,
         stages: &[Vec<Instance>],
-    ) -> ExecPlan {
-        let held = RulesByQuery::new(stages);
-        let mut runs_pool: Vec<(u32, u32, u32)> = Vec::new();
-        let mut ops_pool: Vec<(u32, u32, u32)> = Vec::new();
-        let mut rules_pool: Vec<u32> = Vec::new();
-        let mut compile = |query: QueryId, (lo, hi): (usize, usize)| -> (u32, u32) {
-            // The range's rules: one run per stage, one op per slot.
-            let runs_start = runs_pool.len() as u32;
-            let rules = held.of(query);
-            let from = rules.partition_point(|r| (r.0 as usize) < lo);
-            let to = rules.partition_point(|r| (r.0 as usize) < hi).max(from);
-            for stage_rules in rules[from..to].chunk_by(|a, b| a.0 == b.0) {
-                let ops_lo = ops_pool.len() as u32;
-                for slot_rules in stage_rules.chunk_by(|a, b| a.1 == b.1) {
-                    let rlo = rules_pool.len() as u32;
-                    rules_pool.extend(slot_rules.iter().map(|r| r.2));
-                    ops_pool.push((slot_rules[0].1, rlo, rules_pool.len() as u32));
+    ) {
+        for &query in queries {
+            let classifiable = init.rules().iter().any(|r| r.query == query);
+            let slice = |info| Dispatch { info, steps: (0, 0) };
+            let (slice0, later) = match slices.get(&query) {
+                // Unassigned queries execute as a whole pipeline.
+                None => (classifiable.then(|| slice(SliceInfo::whole())), Vec::new()),
+                Some(infos) => (
+                    infos.iter().find(|i| i.index == 0 && classifiable).copied().map(slice),
+                    infos.iter().filter(|i| i.index > 0).copied().map(slice).collect(),
+                ),
+            };
+            let found = self.codes.binary_search_by_key(&query, |c| c.query);
+            match found {
+                Ok(pos) if slice0.is_none() && later.is_empty() => {
+                    self.codes.remove(pos);
                 }
-                runs_pool.push((stage_rules[0].0, ops_lo, ops_pool.len() as u32));
-            }
-            (runs_start, runs_pool.len() as u32)
-        };
-
-        let mut dispatches: Vec<SliceDispatch> = Vec::new();
-        let mut queries: Vec<QueryId> = init.rules().iter().map(|r| r.query).collect();
-        queries.sort_unstable();
-        queries.dedup();
-        let slice0 = queries
-            .into_iter()
-            .map(|query| {
-                let info = match slices.get(&query) {
-                    // Unassigned queries execute as a whole pipeline.
-                    None => Some(SliceInfo::whole()),
-                    Some(infos) => infos.iter().find(|i| i.index == 0).copied(),
-                };
-                let idx = info.map(|info| {
-                    dispatches.push(SliceDispatch { runs: compile(query, info.stages), info });
-                    (dispatches.len() - 1) as u32
-                });
-                (query, idx)
-            })
-            .collect();
-
-        let mut resume: Vec<(u8, QueryId, u32)> = Vec::new();
-        for (&query, infos) in slices {
-            for &info in infos.iter().filter(|i| i.index > 0) {
-                dispatches.push(SliceDispatch { runs: compile(query, info.stages), info });
-                resume.push((info.index, query, (dispatches.len() - 1) as u32));
+                Err(_) if slice0.is_none() && later.is_empty() => {}
+                Ok(pos) => {
+                    let code = &mut self.codes[pos];
+                    (code.slice0, code.later) = (slice0, later);
+                    code.decode(stages);
+                }
+                Err(pos) => {
+                    let mut code = QueryCode { query, slice0, later, ..Default::default() };
+                    code.decode(stages);
+                    self.codes.insert(pos, code);
+                }
             }
         }
-        resume.sort_by_key(|&(cursor, query, _)| (cursor, query));
-
-        let classifier = init.rules().iter().filter_map(compile_init_rule).collect();
-        ExecPlan { dispatches, slice0, resume, classifier, runs_pool, ops_pool, rules_pool }
+        self.reindex(init);
     }
 
-    /// One pooled stage run: `(stage, ops_lo, ops_hi)`.
-    #[inline(always)]
-    pub(crate) fn run(&self, idx: u32) -> (u32, u32, u32) {
-        self.runs_pool[idx as usize]
+    /// Re-decode `query`'s program in place after its rules changed
+    /// without changing its slices or `newton_init` entries (a retune):
+    /// the indices stay as they are.
+    pub(crate) fn redecode(&mut self, query: QueryId, stages: &[Vec<Instance>]) {
+        if let Ok(pos) = self.codes.binary_search_by_key(&query, |c| c.query) {
+            self.codes[pos].decode(stages);
+        }
     }
 
-    /// A run's pooled ops: `(slot, rlo, rhi)` each.
-    #[inline(always)]
-    pub(crate) fn ops(&self, lo: u32, hi: u32) -> &[(u32, u32, u32)] {
-        &self.ops_pool[lo as usize..hi as usize]
+    /// Rebuild the classification and resume indices over the programs.
+    fn reindex(&mut self, init: &InitTable) {
+        self.resume.clear();
+        for (c, code) in self.codes.iter().enumerate() {
+            for (k, d) in code.later.iter().enumerate() {
+                self.resume.push((d.info.index, c as u32, k as u32));
+            }
+        }
+        self.resume.sort_unstable();
+        self.classifier.clear();
+        for rule in init.rules() {
+            let Ok(c) = self.codes.binary_search_by_key(&rule.query, |c| c.query) else {
+                continue;
+            };
+            if self.codes[c].slice0.is_some() {
+                self.classifier.extend(compile_init_rule(rule, c as u32));
+            }
+        }
+        self.classifier.sort_unstable_by_key(|r| r.code);
     }
 
-    /// An op's pre-resolved rule-table indices.
-    #[inline(always)]
-    pub(crate) fn rules(&self, rlo: u32, rhi: u32) -> &[u32] {
-        &self.rules_pool[rlo as usize..rhi as usize]
-    }
-
-    /// The dispatch behind an index returned by
-    /// [`slice0_idx`](Self::slice0_idx) / [`resume_idx`](Self::resume_idx).
+    /// Compiled `newton_init` classification: every program holding
+    /// slice 0 that some entry matches, with the union of the matching
+    /// entries' branch masks, in query-id order.
     #[inline]
-    pub fn dispatch(&self, idx: u32) -> &SliceDispatch {
-        &self.dispatches[idx as usize]
-    }
-
-    /// Dispatch-table index of a classified query's slice 0, if this
-    /// switch executes the query's first slice.
-    #[inline]
-    pub fn slice0_idx(&self, query: QueryId) -> Option<u32> {
-        self.slice0.binary_search_by_key(&query, |&(q, _)| q).ok().and_then(|i| self.slice0[i].1)
-    }
-
-    /// Dispatch-table index of the slice resuming at `cursor` (exclusive
-    /// per cursor by construction), if any.
-    #[inline]
-    pub fn resume_idx(&self, cursor: u8) -> Option<(QueryId, u32)> {
-        self.resume
-            .binary_search_by_key(&cursor, |&(c, _, _)| c)
-            .ok()
-            .map(|i| (self.resume[i].1, self.resume[i].2))
-    }
-
-    /// Compiled `newton_init` classification: the union of branch
-    /// activations per query across all matching entries, sorted by query
-    /// id — output-identical to
-    /// [`InitTable::classify_into`](crate::InitTable::classify_into).
-    pub fn classify_into(&self, fields: &FieldVector, out: &mut Vec<(QueryId, u32)>) {
+    fn classify_into(&self, fields: &FieldVector, out: &mut Vec<(u32, u32)>) {
         out.clear();
         for rule in &self.classifier {
             if fields.0 & rule.mask == rule.value {
-                match out.binary_search_by_key(&rule.query, |&(q, _)| q) {
-                    Ok(pos) => out[pos].1 |= rule.branch_mask,
-                    Err(pos) => out.insert(pos, (rule.query, rule.branch_mask)),
+                match out.last_mut() {
+                    Some((code, mask)) if *code == rule.code => *mask |= rule.branch_mask,
+                    _ => out.push((rule.code, rule.branch_mask)),
                 }
             }
         }
     }
-}
 
-/// Every module rule's `(stage, slot, index)`, grouped by query with one
-/// counting sort over a switch's tables. The sort is stable, so each
-/// query's group keeps stage, slot and table order.
-struct RulesByQuery {
-    /// Dense group number of every query holding a module rule.
-    group: FastMap<QueryId, u32>,
-    /// Group `g` is `rules[starts[g]..starts[g + 1]]`.
-    starts: Vec<u32>,
-    rules: Vec<(u32, u32, u32)>,
-}
-
-impl RulesByQuery {
-    fn new(stages: &[Vec<Instance>]) -> Self {
-        let mut group: FastMap<QueryId, u32> = FastMap::default();
-        let mut tagged: Vec<(u32, (u32, u32, u32))> = Vec::new();
-        for (stage, insts) in stages.iter().enumerate() {
-            for (slot, inst) in insts.iter().enumerate() {
-                inst.for_each_rule(|idx, query| {
-                    let next = group.len() as u32;
-                    let g = *group.entry(query).or_insert(next);
-                    tagged.push((g, (stage as u32, slot as u32, idx)));
-                });
+    /// Run every slice-0 lane `newton_init` dispatches for a fresh packet,
+    /// in classification order, and return the outgoing snapshot: the
+    /// continuation of the last lane still active with slices remaining,
+    /// else the processed marker if any lane ran, else none.
+    pub(crate) fn run_fresh(
+        &self,
+        stages: &mut [Vec<Instance>],
+        fields: FieldVector,
+        classify: &mut Vec<(u32, u32)>,
+        reports: &mut Vec<Report>,
+    ) -> Option<SnapshotHeader> {
+        self.classify_into(&fields, classify);
+        let mut continuation = None;
+        for &(c, branch_mask) in classify.iter() {
+            let code = &self.codes[c as usize];
+            let Some(d) = &code.slice0 else { continue };
+            let mut lane = LaneState::fresh(branch_mask);
+            code.run(d, stages, fields, &mut lane, reports);
+            if d.info.total > 1 && lane.active != 0 {
+                continuation = Some(lane.capture(1, d.info.capture_set));
             }
         }
-        let mut starts = vec![0u32; group.len() + 1];
-        for &(g, _) in &tagged {
-            starts[g as usize + 1] += 1;
-        }
-        for g in 1..starts.len() {
-            starts[g] += starts[g - 1];
-        }
-        let mut fill = starts.clone();
-        let mut rules = vec![(0, 0, 0); tagged.len()];
-        for (g, at) in tagged {
-            rules[fill[g as usize] as usize] = at;
-            fill[g as usize] += 1;
-        }
-        RulesByQuery { group, starts, rules }
+        continuation.or((!classify.is_empty()).then_some(DEAD_MARKER))
     }
 
-    /// `query`'s rules, in stage, slot and table order.
-    fn of(&self, query: QueryId) -> &[(u32, u32, u32)] {
-        let Some(&g) = self.group.get(&query) else { return &[] };
-        &self.rules[self.starts[g as usize] as usize..self.starts[g as usize + 1] as usize]
+    /// Resume the later slice `sp`'s cursor selects, if this switch holds
+    /// one, and return the outgoing snapshot: the next slice's
+    /// continuation, the processed marker once the query is done or dead,
+    /// or `sp` unchanged when no slice resumes here.
+    pub(crate) fn run_resumed(
+        &self,
+        stages: &mut [Vec<Instance>],
+        fields: impl FnOnce() -> FieldVector,
+        sp: &SnapshotHeader,
+        reports: &mut Vec<Report>,
+    ) -> SnapshotHeader {
+        let Ok(at) = self.resume.binary_search_by_key(&sp.cursor, |&(c, _, _)| c) else {
+            return *sp;
+        };
+        if sp.active_mask == 0 {
+            // Resumed with nothing active: dead on arrival.
+            return DEAD_MARKER;
+        }
+        let (_, c, k) = self.resume[at];
+        let code = &self.codes[c as usize];
+        let d = &code.later[k as usize];
+        let mut lane = LaneState::resumed(sp, d.info.restore_set);
+        code.run(d, stages, fields(), &mut lane, reports);
+        if d.info.index + 1 < d.info.total && lane.active != 0 {
+            lane.capture(d.info.index + 1, d.info.capture_set)
+        } else {
+            DEAD_MARKER
+        }
     }
 }
 
@@ -291,7 +552,7 @@ impl RulesByQuery {
 /// unsatisfiable (NOT ignorable: clipping it would turn a never-matching
 /// entry into a matching one). Likewise two matches constraining one bit
 /// to different values.
-fn compile_init_rule(rule: &crate::rules::InitRule) -> Option<CompiledInitRule> {
+fn compile_init_rule(rule: &crate::rules::InitRule, code: u32) -> Option<CompiledInitRule> {
     let mut mask: u128 = 0;
     let mut value: u128 = 0;
     for &(field, v, m) in &rule.matches {
@@ -308,83 +569,58 @@ fn compile_init_rule(rule: &crate::rules::InitRule) -> Option<CompiledInitRule> 
         mask |= mbits;
         value |= vbits;
     }
-    Some(CompiledInitRule { value, mask, query: rule.query, branch_mask: rule.branch_mask })
+    Some(CompiledInitRule { value, mask, code, branch_mask: rule.branch_mask })
 }
 
 /// Branch test identical to [`Phv::branch_active`](crate::Phv): same shift
 /// expression, so debug-overflow and release-masking behaviour match the
 /// reference walk bit for bit.
 #[inline(always)]
-pub(crate) fn lane_branch_active(active: u32, branch: u8) -> bool {
+fn lane_branch_active(active: u32, branch: u8) -> bool {
     active & (1 << branch) != 0
 }
 
-/// One lane's mutable PHV state, packed so the per-stage entry freeze is a
-/// single contiguous copy.
+/// One lane's PHV state: the twin of a [`Phv`](crate::Phv) minus the
+/// packet fields, which the walk passes alongside.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneState {
+struct LaneState {
     /// The two metadata sets (op keys, hash result, state result).
-    pub(crate) sets: [MetadataSet; 2],
+    sets: [MetadataSet; 2],
     /// The global result accumulator.
-    pub(crate) global: u32,
+    global: u32,
     /// Branch-activity mask; `0` ⇔ the lane is dead.
-    pub(crate) active: u32,
+    active: u32,
 }
 
-/// One (packet, query) walk on the compiled path. Module kernels read
-/// `entry` and `fields` and write `cur`; ℝ pushes reports straight into
-/// the packet's output in emission order.
-pub(crate) struct Lane<'a> {
-    pub(crate) fields: FieldVector,
-    pub(crate) query: QueryId,
-    /// Live stage-exit state.
-    pub(crate) cur: LaneState,
-    /// Frozen stage-entry state.
-    pub(crate) entry: LaneState,
-    pub(crate) reports: &'a mut Vec<Report>,
-}
-
-impl<'a> Lane<'a> {
+impl LaneState {
     /// A fresh slice-0 lane with `active` from the classification branch
     /// mask (the twin of [`Phv::new`](crate::Phv::new) plus branch-mask
     /// assignment).
-    pub(crate) fn new(
-        fields: FieldVector,
-        query: QueryId,
-        active: u32,
-        reports: &'a mut Vec<Report>,
-    ) -> Self {
-        let state = LaneState { sets: [MetadataSet::default(); 2], global: GLOBAL_INIT, active };
-        Lane { fields, query, cur: state, entry: state, reports }
+    fn fresh(active: u32) -> Self {
+        LaneState { sets: [MetadataSet::default(); 2], global: GLOBAL_INIT, active }
     }
 
     /// A lane resumed from an incoming snapshot into `restore` (the twin
     /// of [`Phv::restore_snapshot`](crate::Phv::restore_snapshot)).
-    pub(crate) fn resume(
-        fields: FieldVector,
-        query: QueryId,
-        sp: &SnapshotHeader,
-        restore: SetId,
-        reports: &'a mut Vec<Report>,
-    ) -> Self {
-        let mut lane = Lane::new(fields, query, sp.active_mask as u32, reports);
-        let set = &mut lane.cur.sets[restore.index()];
+    fn resumed(sp: &SnapshotHeader, restore: SetId) -> Self {
+        let mut lane = LaneState::fresh(sp.active_mask as u32);
+        let set = &mut lane.sets[restore.index()];
         set.hash_result = sp.hash_result as u32;
         set.state_result = sp.state_result;
-        lane.cur.global = sp.global_result;
+        lane.global = sp.global_result;
         lane
     }
 
     /// The egress snapshot `newton_fin` piggybacks (the twin of
     /// [`Phv::capture_snapshot`](crate::Phv::capture_snapshot)).
-    pub(crate) fn capture(&self, cursor: u8, set: SetId) -> SnapshotHeader {
-        let s = &self.cur.sets[set.index()];
+    fn capture(&self, cursor: u8, set: SetId) -> SnapshotHeader {
+        let s = &self.sets[set.index()];
         SnapshotHeader {
             cursor,
-            active_mask: (self.cur.active & 0xFF) as u8,
+            active_mask: (self.active & 0xFF) as u8,
             hash_result: s.hash_result as u16,
             state_result: s.state_result,
-            global_result: self.cur.global,
+            global_result: self.global,
         }
     }
 }
@@ -436,7 +672,8 @@ mod tests {
         for r in &rules {
             init.install(r.clone());
         }
-        let plan = ExecPlan::build(&init, &FastMap::default(), &[]);
+        let mut plan = ExecPlan::default();
+        plan.recompile(&[1, 2, 3, 4, 5, 6], &init, &FastMap::default(), &[]);
 
         let packets = [
             PacketBuilder::new().tcp_flags(TcpFlags::SYN).dst_port(80).build(),
@@ -447,7 +684,9 @@ mod tests {
         let mut compiled = Vec::new();
         for pkt in &packets {
             plan.classify_into(&FieldVector::from_packet(pkt), &mut compiled);
-            assert_eq!(compiled, init.classify(pkt), "diverged on {pkt:?}");
+            let by_query: Vec<(QueryId, u32)> =
+                compiled.iter().map(|&(c, m)| (plan.codes[c as usize].query, m)).collect();
+            assert_eq!(by_query, init.classify(pkt), "diverged on {pkt:?}");
         }
     }
 }

@@ -210,6 +210,24 @@ mod tests {
         assert!(!ResultProcess.feeds(KeySelection));
     }
 
+    /// The compiled walk runs a stage's steps ℝ, 𝕊, ℍ, 𝕂 on one lane
+    /// state (see `exec`). That reproduces stage semantics only while no
+    /// stage holds two instances of one kind.
+    #[test]
+    fn every_stage_holds_each_kind_at_most_once() {
+        for kind in [LayoutKind::Naive, LayoutKind::Compact] {
+            for stages in 0..=16 {
+                let l = Layout::new(kind, stages);
+                for s in 0..stages {
+                    for k in ModuleKind::ALL {
+                        let n = l.stage(s).iter().filter(|&&x| x == k).count();
+                        assert!(n <= 1, "{kind:?} stage {s} holds {n} {k} instances");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn kind_at_out_of_range_is_none() {
         let l = Layout::new(LayoutKind::Naive, 2);

@@ -19,8 +19,9 @@
 //!   install/remove.
 //! * [`modules`] — the four module implementations interpreting those
 //!   rules, including the four SALU kinds of 𝕊. Each runs a public
-//!   `execute` over a [`Phv`] (the reference walk) and a compiled-path
-//!   kernel over one lane.
+//!   `execute` over a [`Phv`] (the reference walk); the compiled walk
+//!   reads decoded copies of their rules and calls into 𝕊 only for its
+//!   registers.
 //! * [`init`] — the `newton_init` ternary dispatch table (5-tuple + TCP
 //!   flags → query) that also absorbs front filters (Opt.1).
 //! * [`layout`] — naïve (one module per stage) vs compact (𝕂+ℍ+𝕊+ℝ per
@@ -29,10 +30,11 @@
 //!   `newton_fin` (result-snapshot emission for CQE), with per-epoch state
 //!   reset and forwarding counters that prove rule operations never disturb
 //!   forwarding.
-//! * [`exec`] — the configuration/execution split: rule operations compile
-//!   a flattened, immutable [`exec::ExecPlan`]; [`Switch::process`]
-//!   walks each of a packet's lanes — every classified slice-0 query, or
-//!   the one slice its snapshot resumes — through it, allocation-free for
+//! * [`exec`] — the configuration/execution split: rule operations
+//!   recompile the touched queries of an [`exec::ExecPlan`] into decoded
+//!   steps; [`Switch::process`] walks each of a packet's lanes — every
+//!   classified slice-0 query, or the one slice its snapshot resumes —
+//!   through its query's steps on one lane state, allocation-free for
 //!   dispatch, pushing reports in emission order.
 //! * [`debug`] — [`debug::trace_packet`] records every module firing of
 //!   one packet by running the reference walk behind

@@ -7,7 +7,6 @@
 //! which is exactly why write-read-dependent modules cannot share a stage
 //! (Fig. 4) and why the two metadata sets make the compact layout work.
 
-use crate::exec::{lane_branch_active, Lane};
 use crate::phv::{Phv, Report, GLOBAL_INIT};
 use crate::rules::{HRule, HashMode, KRule, Operand, QueryId, RAction, RRule, SRule, SaluOp};
 use newton_packet::FieldVector;
@@ -24,6 +23,9 @@ pub enum InstallError {
     CapacityExceeded { capacity: usize },
     /// A rule for this (query, branch) already exists on this instance.
     Duplicate { query: QueryId, branch: u8 },
+    /// An ℍ rule hashes into an empty range (`HashMode::Hash { range: 0 }`):
+    /// no register index exists to produce.
+    EmptyHashRange { query: QueryId, branch: u8 },
 }
 
 impl std::fmt::Display for InstallError {
@@ -34,6 +36,9 @@ impl std::fmt::Display for InstallError {
             }
             InstallError::Duplicate { query, branch } => {
                 write!(f, "rule for query {query} branch {branch} already installed")
+            }
+            InstallError::EmptyHashRange { query, branch } => {
+                write!(f, "hash rule for query {query} branch {branch} has an empty range")
             }
         }
     }
@@ -178,20 +183,6 @@ impl KModule {
             }
         }
     }
-
-    /// Execute one lane's pre-resolved op (the compiled
-    /// [`ExecPlan`](crate::ExecPlan) path): the plan guarantees every rule
-    /// index in `idx` holds a rule of the lane's query, in table order.
-    /// Reads are against the lane's frozen `entry` state, writes land in
-    /// `cur` — identical stage semantics to [`execute`](Self::execute).
-    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
-        for &i in idx {
-            let r = &self.rules[i as usize];
-            if lane_branch_active(lane.entry.active, r.branch) {
-                lane.cur.sets[r.set.index()].op_keys = lane.fields.masked(r.mask).0;
-            }
-        }
-    }
 }
 
 impl HModule {
@@ -199,7 +190,12 @@ impl HModule {
         HModule { rules: Vec::new(), capacity }
     }
 
+    /// Install a rule. At most one rule per (query, branch) per instance,
+    /// and a hashing rule needs a nonempty output range.
     pub fn install(&mut self, rule: HRule) -> Result<(), InstallError> {
+        if let HashMode::Hash { range: 0, .. } = rule.mode {
+            return Err(InstallError::EmptyHashRange { query: rule.query, branch: rule.branch });
+        }
         if self.rules.iter().any(|r| r.query == rule.query && r.branch == rule.branch) {
             return Err(InstallError::Duplicate { query: rule.query, branch: rule.branch });
         }
@@ -216,18 +212,6 @@ impl HModule {
         for r in &self.rules {
             if r.query == input.query && input.branch_active(r.branch) {
                 Self::fire(r, input, output);
-            }
-        }
-    }
-
-    /// Execute one lane's pre-resolved op (compiled plan path).
-    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
-        for &i in idx {
-            let r = &self.rules[i as usize];
-            if lane_branch_active(lane.entry.active, r.branch) {
-                let keys = FieldVector(lane.entry.sets[r.set.index()].op_keys);
-                lane.cur.sets[r.set.index()].hash_result =
-                    Self::hash_of(r, keys).wrapping_add(r.offset);
             }
         }
     }
@@ -323,40 +307,34 @@ impl SModule {
             let hash = input.set(r.set).hash_result;
             let idx = Self::reg_index(pow2_mask, self.registers.len(), hash);
             let state =
-                Self::salu(r, &mut self.registers, &mut self.stats, idx, hash, input.fields);
+                Self::salu(r.op, &mut self.registers, &mut self.stats, idx, hash, input.fields);
             output.set_mut(r.set).state_result = state;
         }
     }
 
-    /// Execute one lane's pre-resolved op (compiled plan path). Lanes
-    /// run one after another in packet order, so each register sees
-    /// operations in exactly the reference order — register contents and
-    /// [`BankStats`] stay bit-identical to [`execute`](Self::execute).
-    pub(crate) fn execute_lane(&mut self, idx: &[u32], lane: &mut Lane) {
-        let SModule { rules, registers, stats, pow2_mask, .. } = self;
-        for &i in idx {
-            let r = &rules[i as usize];
-            if lane_branch_active(lane.entry.active, r.branch) {
-                let hash = lane.entry.sets[r.set.index()].hash_result;
-                let ridx = Self::reg_index(*pow2_mask, registers.len(), hash);
-                let state = Self::salu(r, registers, stats, ridx, hash, lane.fields);
-                lane.cur.sets[r.set.index()].state_result = state;
-            }
-        }
+    /// One decoded 𝕊 step of the compiled walk: run `op` on the register
+    /// `hash` indexes and return the state result. Lanes run one after
+    /// another in packet order, so each register sees operations in
+    /// exactly the reference order — register contents and [`BankStats`]
+    /// stay bit-identical to [`execute`](Self::execute).
+    #[inline(always)]
+    pub(crate) fn apply(&mut self, op: SaluOp, hash: u32, fields: FieldVector) -> u32 {
+        let idx = Self::reg_index(self.pow2_mask, self.registers.len(), hash);
+        Self::salu(op, &mut self.registers, &mut self.stats, idx, hash, fields)
     }
 
     /// The transactional SALU core shared by both execution paths:
-    /// read-modify-write one register, return the rule's state result.
+    /// read-modify-write one register, return the op's state result.
     #[inline(always)]
     fn salu(
-        r: &SRule,
+        op: SaluOp,
         registers: &mut [u32],
         stats: &mut BankStats,
         idx: usize,
         hash: u32,
         fields: FieldVector,
     ) -> u32 {
-        match r.op {
+        match op {
             SaluOp::PassHash => hash,
             SaluOp::Add(op) => {
                 let v = resolve(op, fields);
@@ -440,79 +418,6 @@ impl RModule {
         }
         for (branch, rule) in fired {
             Self::fire(rule, branch, input, output);
-        }
-    }
-
-    /// Execute one lane's pre-resolved op (compiled plan path). Same
-    /// per-branch highest-priority selection as [`execute`](Self::execute):
-    /// the PHV's branch mask is a `u32`, so at most 32 branches can be
-    /// active, and a `seen` bit per branch marks which `best` slots are
-    /// current for this op.
-    pub(crate) fn execute_lane(&self, idx: &[u32], lane: &mut Lane) {
-        let entry = &lane.entry;
-        let mut best = [0u32; 32];
-        let mut order = [0u8; 32];
-        let (mut seen, mut n) = (0u32, 0usize);
-        for &i in idx {
-            let r = &self.rules[i as usize];
-            if !lane_branch_active(entry.active, r.branch)
-                || !r.state_match.contains(entry.sets[r.set.index()].state_result)
-                || !r.global_match.contains(entry.global)
-            {
-                continue;
-            }
-            // Mirror `branch_active`'s release-mode shift masking so an
-            // out-of-range branch aliases the same mask bit it tests.
-            let bb = (r.branch & 31) as usize;
-            if seen & (1 << bb) == 0 {
-                seen |= 1 << bb;
-                best[bb] = i;
-                order[n] = r.branch;
-                n += 1;
-            } else if self.rules[best[bb] as usize].priority < r.priority {
-                best[bb] = i;
-            }
-        }
-        for &branch in &order[..n] {
-            Self::fire_lane(&self.rules[best[(branch & 31) as usize] as usize], branch, lane);
-        }
-    }
-
-    /// Apply a fired rule's actions to one lane — the compiled twin of
-    /// [`fire`](Self::fire): reads come from the frozen `entry` state, the
-    /// global accumulator and branch mask mutate `cur`, and reports go
-    /// straight to the packet's output.
-    fn fire_lane(rule: &RRule, branch: u8, lane: &mut Lane) {
-        let set = lane.entry.sets[rule.set.index()];
-        let state = set.state_result;
-        let cur = &mut lane.cur;
-        for action in &rule.actions {
-            match action {
-                RAction::Report => lane.reports.push(Report {
-                    query: lane.query,
-                    branch,
-                    op_keys: set.op_keys,
-                    hash_result: set.hash_result,
-                    state_result: set.state_result,
-                    global_result: cur.global,
-                }),
-                RAction::StopBranch => cur.active &= !(1 << branch),
-                RAction::GlobalMin => cur.global = cur.global.min(state),
-                RAction::GlobalMax => {
-                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
-                    cur.global = g.max(state);
-                }
-                RAction::GlobalAdd => {
-                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
-                    cur.global = g.saturating_add(state);
-                }
-                RAction::GlobalSub => {
-                    let g = if cur.global == GLOBAL_INIT { 0 } else { cur.global };
-                    cur.global = g.saturating_sub(state);
-                }
-                RAction::GlobalSet => cur.global = state,
-                RAction::GlobalReset => cur.global = GLOBAL_INIT,
-            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! later slices activate when an incoming result snapshot's cursor matches.
 //! `newton_fin` captures an outgoing snapshot while slices remain.
 
-use crate::exec::{ExecPlan, Lane};
+use crate::exec::ExecPlan;
 use crate::init::InitTable;
 use crate::layout::{Layout, LayoutKind, ModuleAddr, ModuleKind};
 use crate::modules::{
@@ -93,7 +93,7 @@ pub(crate) enum Instance {
 }
 
 impl Instance {
-    fn kind(&self) -> ModuleKind {
+    pub(crate) fn kind(&self) -> ModuleKind {
         match self {
             Instance::K(_) => ModuleKind::KeySelection,
             Instance::H(_) => ModuleKind::HashCalculation,
@@ -108,22 +108,6 @@ impl Instance {
             Instance::H(m) => m.rule_count(),
             Instance::S(m) => m.rule_count(),
             Instance::R(m) => m.rule_count(),
-        }
-    }
-
-    /// Call `f(index, query)` for every rule of the table, in table order
-    /// (plan compilation).
-    pub(crate) fn for_each_rule(&self, mut f: impl FnMut(u32, QueryId)) {
-        fn each<R>(rules: &[R], query: impl Fn(&R) -> QueryId, f: &mut impl FnMut(u32, QueryId)) {
-            for (i, r) in rules.iter().enumerate() {
-                f(i as u32, query(r));
-            }
-        }
-        match self {
-            Instance::K(m) => each(m.rules(), |r| r.query, &mut f),
-            Instance::H(m) => each(m.rules(), |r| r.query, &mut f),
-            Instance::S(m) => each(m.rules(), |r| r.query, &mut f),
-            Instance::R(m) => each(m.rules(), |r| r.query, &mut f),
         }
     }
 }
@@ -211,11 +195,13 @@ pub struct Switch {
     stages: Vec<Vec<Instance>>,
     slices: FastMap<QueryId, Vec<SliceInfo>>,
     forwarded: u64,
-    /// Compiled from `init`/`stages`/`slices` on every configuration
-    /// mutation; [`process`](Self::process) only reads it.
+    /// Recompiled from `init`/`stages`/`slices`, for the queries a
+    /// configuration call touches; [`process`](Self::process) only reads
+    /// it.
     plan: ExecPlan,
-    /// Reusable `newton_init` classification buffer of the packet path.
-    classify: Vec<(QueryId, u32)>,
+    /// Reusable `newton_init` classification buffer of the packet path:
+    /// `(program, branch mask)` pairs.
+    classify: Vec<(u32, u32)>,
 }
 
 impl Switch {
@@ -255,13 +241,13 @@ impl Switch {
         }
     }
 
-    /// Recompile the execution plan from the current configuration, in
-    /// one pass over the tables (see [`ExecPlan`]). A configuration call
-    /// that changes the switch rebuilds once, before it returns, so the
-    /// plan is never stale; the controller hands each switch its share of
-    /// an operation as one [`apply_slices`](Self::apply_slices) call.
-    fn rebuild_plan(&mut self) {
-        self.plan = ExecPlan::build(&self.init, &self.slices, &self.stages);
+    /// Recompile the programs of `queries` and the plan's indices (see
+    /// [`ExecPlan`]). A configuration call recompiles the queries it
+    /// touched once, before it returns, so the plan is never stale; the
+    /// controller hands each switch its share of an operation as one
+    /// [`apply_slices`](Self::apply_slices) call.
+    fn recompile(&mut self, queries: &[QueryId]) {
+        self.plan.recompile(queries, &self.init, &self.slices, &self.stages);
     }
 
     pub fn config(&self) -> &PipelineConfig {
@@ -282,11 +268,11 @@ impl Switch {
     /// installed.
     pub fn install(&mut self, rules: &RuleSet) -> Result<(), SwitchError> {
         let result = self.install_rules(rules);
-        self.rebuild_plan();
+        self.recompile(&Self::ruleset_queries(rules));
         result
     }
 
-    /// [`install`](Self::install) minus the plan rebuild: on error every
+    /// [`install`](Self::install) minus the recompile: on error every
     /// rule and slice assignment of the rule set's query is dropped again.
     fn install_rules(&mut self, rules: &RuleSet) -> Result<(), SwitchError> {
         let result = self.try_install(rules);
@@ -296,6 +282,19 @@ impl Switch {
             }
         }
         result
+    }
+
+    /// Every query a rule set holds rules of, sorted.
+    fn ruleset_queries(rules: &RuleSet) -> Vec<QueryId> {
+        let mut queries: Vec<QueryId> = (rules.init.iter().map(|r| r.query))
+            .chain(rules.k.iter().map(|(_, r)| r.query))
+            .chain(rules.h.iter().map(|(_, r)| r.query))
+            .chain(rules.s.iter().map(|(_, r)| r.query))
+            .chain(rules.r.iter().map(|(_, r)| r.query))
+            .collect();
+        queries.sort_unstable();
+        queries.dedup();
+        queries
     }
 
     fn ruleset_query(rules: &RuleSet) -> Option<QueryId> {
@@ -377,7 +376,7 @@ impl Switch {
     pub fn remove_query(&mut self, query: QueryId) -> usize {
         let (removed, held) = self.drop_query(query);
         if held {
-            self.rebuild_plan();
+            self.recompile(&[query]);
         }
         removed
     }
@@ -418,11 +417,11 @@ impl Switch {
     /// assignments that would make snapshot-cursor dispatch ambiguous.
     pub fn add_slice(&mut self, query: QueryId, slice: SliceInfo) -> Result<(), SwitchError> {
         self.assign_slice(query, slice)?;
-        self.rebuild_plan();
+        self.recompile(&[query]);
         Ok(())
     }
 
-    /// [`add_slice`](Self::add_slice) minus the plan rebuild.
+    /// [`add_slice`](Self::add_slice) minus the recompile.
     fn assign_slice(&mut self, query: QueryId, slice: SliceInfo) -> Result<(), SwitchError> {
         if let Some(existing) = self.slice_conflict(query, slice, false) {
             return Err(SwitchError::SliceConflict { query, index: slice.index, existing });
@@ -438,7 +437,7 @@ impl Switch {
             return Err(SwitchError::SliceConflict { query, index: slice.index, existing });
         }
         self.slices.insert(query, vec![slice]);
-        self.rebuild_plan();
+        self.recompile(&[query]);
         Ok(())
     }
 
@@ -446,8 +445,9 @@ impl Switch {
     /// the unit the controller issues once per touched switch and
     /// operation: drop the held slices indexed by `remove`, then install
     /// each `(rules, slice)` pair of `add` (the rule set, then its
-    /// assignment), then rebuild the plan once. Returns the rules removed;
-    /// an index in `remove` that is not held removes nothing.
+    /// assignment), then recompile the touched queries once. Returns the
+    /// rules removed; an index in `remove` that is not held removes
+    /// nothing.
     ///
     /// Dropping a slice removes the query's module rules within the
     /// slice's stage range, its `newton_init` entries when it is slice 0,
@@ -461,7 +461,7 @@ impl Switch {
     /// query on the switch, as in [`install`](Self::install); a rejected
     /// assignment ([`SwitchError::SliceConflict`]) leaves its rule set
     /// installed and unassigned for the caller to clean up. The plan is
-    /// rebuilt before any return.
+    /// recompiled before any return.
     pub fn apply_slices(
         &mut self,
         query: QueryId,
@@ -473,7 +473,13 @@ impl Switch {
             self.install_rules(rules)?;
             self.assign_slice(query, *slice)
         });
-        self.rebuild_plan();
+        let mut touched = vec![query];
+        for (rules, _) in add {
+            touched.extend(Self::ruleset_queries(rules));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.recompile(&touched);
         result.map(|()| removed)
     }
 
@@ -611,6 +617,10 @@ impl Switch {
     /// Apply `f` to every ℝ rule of `query` across the pipeline — the
     /// in-place rule-update path (§2.1: "operators can update table rules
     /// in running switches"). Returns the number of rules modified.
+    ///
+    /// A retune changes rule payloads only, never which slices or
+    /// `newton_init` entries the query has, so it re-decodes the query's
+    /// program in place and leaves the plan's indices alone.
     pub fn update_r_rules(
         &mut self,
         query: QueryId,
@@ -623,6 +633,9 @@ impl Switch {
                     touched += m.update_rules(query, f);
                 }
             }
+        }
+        if touched > 0 {
+            self.plan.redecode(query, &self.stages);
         }
         touched
     }
@@ -727,8 +740,8 @@ impl Switch {
     ///
     /// The packet's lanes — every slice-0 query `newton_init` classifies,
     /// in classification order, or the one slice the incoming snapshot's
-    /// cursor resumes — each walk their compiled run list in turn. Reports
-    /// land in emission order, and sink events follow that order.
+    /// cursor resumes — each walk their query's decoded steps in turn.
+    /// Reports land in emission order, and sink events follow that order.
     pub fn process_sink<T: Telemetry>(
         &mut self,
         pkt: &Packet,
@@ -739,46 +752,19 @@ impl Switch {
         let Switch { stages, plan, classify, .. } = self;
         let mut out = PipelineOutput::default();
         out.snapshot = match sp_in {
+            // Slice-0 queries dispatched by newton_init.
             None => {
-                // Slice-0 queries dispatched by newton_init. The last
-                // classified query still active with slices remaining
-                // wins the continuation slot.
-                let fields = FieldVector::from_packet(pkt);
-                plan.classify_into(&fields, classify);
-                let mut executed = false;
-                let mut continuation = None;
-                for &(query, branch_mask) in classify.iter() {
-                    let Some(g) = plan.slice0_idx(query) else { continue };
-                    let d = plan.dispatch(g);
-                    let mut lane = Lane::new(fields, query, branch_mask, &mut out.reports);
-                    walk_lane(stages, plan, d.runs, &mut lane);
-                    executed = true;
-                    if d.info.total > 1 && lane.cur.active != 0 {
-                        continuation = Some(lane.capture(1, d.info.capture_set));
-                    }
-                }
-                continuation.or(executed.then_some(DEAD_MARKER))
+                plan.run_fresh(stages, FieldVector::from_packet(pkt), classify, &mut out.reports)
             }
             // The later slice resumed from the incoming snapshot cursor
             // (unique by construction) continues to the next slice or
             // dies; with no slice to resume, the header passes through.
-            Some(sp) => Some(match plan.resume_idx(sp.cursor) {
-                Some((query, g)) if sp.active_mask != 0 => {
-                    let d = plan.dispatch(g);
-                    let fields = FieldVector::from_packet(pkt);
-                    let mut lane =
-                        Lane::resume(fields, query, sp, d.info.restore_set, &mut out.reports);
-                    walk_lane(stages, plan, d.runs, &mut lane);
-                    if d.info.index + 1 < d.info.total && lane.cur.active != 0 {
-                        lane.capture(d.info.index + 1, d.info.capture_set)
-                    } else {
-                        DEAD_MARKER
-                    }
-                }
-                // Resumed with nothing active: dead on arrival.
-                Some(_) => DEAD_MARKER,
-                None => *sp,
-            }),
+            Some(sp) => Some(plan.run_resumed(
+                stages,
+                || FieldVector::from_packet(pkt),
+                sp,
+                &mut out.reports,
+            )),
         };
         if T::ENABLED {
             for r in &out.reports {
@@ -922,34 +908,6 @@ impl Switch {
     }
 }
 
-/// Walk one lane straight through the compiled stage runs `[lo, hi)`
-/// with per-stage parallel semantics: every op of a run reads the lane's
-/// frozen stage-entry state and writes its stage-exit state. A dead lane
-/// (`cur.active == 0`) stops at the next stage boundary, like the
-/// reference walk's `any_active` gate.
-///
-/// Free function (not a method) so the caller can hold disjoint borrows
-/// of the switch's plan and stages at once.
-fn walk_lane(stages: &mut [Vec<Instance>], plan: &ExecPlan, (lo, hi): (u32, u32), lane: &mut Lane) {
-    for cursor in lo..hi {
-        if lane.cur.active == 0 {
-            break;
-        }
-        let (stage, olo, ohi) = plan.run(cursor);
-        lane.entry = lane.cur;
-        let insts = &mut stages[stage as usize];
-        for &(slot, rlo, rhi) in plan.ops(olo, ohi) {
-            let rules = plan.rules(rlo, rhi);
-            match &mut insts[slot as usize] {
-                Instance::K(m) => m.execute_lane(rules, lane),
-                Instance::H(m) => m.execute_lane(rules, lane),
-                Instance::S(m) => m.execute_lane(rules, lane),
-                Instance::R(m) => m.execute_lane(rules, lane),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,6 +1029,20 @@ mod tests {
         rs.s[0].0 = ModuleAddr { stage: 0, slot: 0 };
         assert!(sw.install(&rs).is_err());
         assert_eq!(sw.total_rule_count(), 0, "failed install must leave nothing behind");
+    }
+
+    #[test]
+    fn empty_hash_range_is_rejected_and_leaves_nothing() {
+        let mut sw = Switch::new(PipelineConfig::default());
+        let mut rs = tiny_q1(1);
+        rs.h[0].1.mode = HashMode::Hash { seed: 11, range: 0 };
+        assert_eq!(
+            sw.install(&rs),
+            Err(SwitchError::Install(InstallError::EmptyHashRange { query: 1, branch: 0 }))
+        );
+        assert_eq!(sw.total_rule_count(), 0, "failed install must leave nothing behind");
+        // The packet path has nothing of the query to run.
+        assert!(sw.process(&syn_to(9), None).snapshot.is_none());
     }
 
     #[test]

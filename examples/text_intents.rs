@@ -37,7 +37,11 @@ const BROKEN: &str = "filter(proto == 999) | where >= 0";
 fn main() {
     let mut sys = NewtonSystem::new(Topology::chain(3));
     sys.set_mapping(HostMapping::Fixed { ingress: 0, egress: 2 });
-    let opts = ReportOptions::from_args();
+    let opts = ReportOptions::from_args().unwrap_or_else(|err| {
+        eprintln!("text_intents: {err}");
+        eprintln!("usage: text_intents [--report] [--json PATH]");
+        std::process::exit(2)
+    });
     if opts.wants_recorder() {
         sys.enable_recorder();
     }

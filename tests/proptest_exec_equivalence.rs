@@ -6,8 +6,10 @@
 //! 1. `Switch::process` (compiled plan) ≡ `Switch::process_reference`
 //!    (per-packet dispatch rebuild + per-stage PHV clone), for whole and
 //!    CQE-sliced queries: same reports, same snapshot headers, same
-//!    register state, also after random removals and re-installs have
-//!    compacted the tables under other queries' rules.
+//!    register state. Whole queries are random single-branch specs or
+//!    Q1–Q9 catalog queries (multi-branch merges, multi-rule ℝ ops) at
+//!    drawn thresholds, on the compact or the naive layout, with removals,
+//!    threshold-variant re-installs and in-place retunes between packets.
 //!    `debug::trace_packet`, which runs the reference walk, counts the
 //!    same reports per query as `process` emits.
 //! 2. `Network::deliver_batch` ≡ per-packet `Network::deliver`, for whole
@@ -22,14 +24,19 @@
 //!    Delivery is single-threaded; the tests named for thread counts pin
 //!    this run-to-run determinism.
 
-use newton::compiler::{compile, compile_sliced, CompilerConfig};
+use newton::compiler::{
+    compile, compile_sliced, compose_naive_executable, decompose_query, generate_rules,
+    retarget_to_naive, CompilerConfig,
+};
 use newton::dataplane::debug::trace_packet;
-use newton::dataplane::{PipelineConfig, SliceInfo, Switch};
+use newton::dataplane::{
+    LayoutKind, PipelineConfig, RAction, RMatch, RRule, RuleSet, SliceInfo, Switch,
+};
 use newton::net::{Network, NodeId, Topology};
 use newton::packet::Field;
 use newton::packet::{Packet, PacketBuilder, Protocol, TcpFlags};
-use newton::query::ast::{CmpOp, Query, ReduceFunc};
-use newton::query::QueryBuilder;
+use newton::query::ast::{CmpOp, Primitive, Query, ReduceFunc};
+use newton::query::{catalog, QueryBuilder};
 use proptest::prelude::*;
 
 /// Packets from a small universe so counts actually accumulate.
@@ -103,6 +110,88 @@ fn build(spec: &QuerySpec, name: &str) -> Query {
         (ReduceFunc::Count, spec.threshold)
     };
     b.reduce(&[spec.key], func).result_filter(CmpOp::Ge, threshold).build()
+}
+
+/// A query for the whole-switch property: a random single-branch spec,
+/// or catalog query Q1–Q9 with every report threshold set to `threshold`.
+#[derive(Debug, Clone)]
+enum Pick {
+    Spec(QuerySpec),
+    Catalog { index: usize, threshold: u64 },
+}
+
+fn arb_pick() -> impl Strategy<Value = Pick> {
+    (any::<bool>(), arb_query(), 0usize..9, 1u64..25).prop_map(
+        |(from_catalog, spec, index, threshold)| {
+            if from_catalog {
+                Pick::Catalog { index, threshold }
+            } else {
+                Pick::Spec(spec)
+            }
+        },
+    )
+}
+
+impl Pick {
+    fn query(&self) -> Query {
+        match self {
+            Pick::Spec(spec) => build(spec, "prop"),
+            Pick::Catalog { index, threshold } => {
+                let mut q = catalog::all_queries().swap_remove(*index);
+                for p in q.branches.iter_mut().flat_map(|b| &mut b.primitives) {
+                    if let Primitive::ResultFilter { value, .. } = p {
+                        *value = *threshold;
+                    }
+                }
+                q
+            }
+        }
+    }
+
+    /// The same query structure at another report threshold.
+    fn with_threshold(&self, threshold: u64) -> Pick {
+        match self {
+            Pick::Spec(spec) => Pick::Spec(QuerySpec { threshold, ..spec.clone() }),
+            Pick::Catalog { index, .. } => Pick::Catalog { index: *index, threshold },
+        }
+    }
+}
+
+/// Stages of the naive-layout switch: the longest catalog query burns 28
+/// (one module per stage).
+const NAIVE_STAGES: usize = 32;
+
+/// `query`'s rules for a switch of `layout`: compiled whole for the
+/// compact layout; for the naive one composed one module per stage and
+/// retargeted to slot 0, as `tests/naive_layout.rs` builds them.
+fn rules_for(query: &Query, id: u32, layout: LayoutKind) -> RuleSet {
+    match layout {
+        LayoutKind::Compact => compile(query, id, &compiler_cfg()).rules,
+        LayoutKind::Naive => {
+            let decomp = decompose_query(query, &compiler_cfg());
+            let naive = compose_naive_executable(query, &decomp);
+            retarget_to_naive(&generate_rules(query, id, &decomp, &naive, &compiler_cfg()).0)
+        }
+    }
+}
+
+/// Rewrite every reporting ℝ rule to report from `threshold`, keeping its
+/// window width, the way `Controller::retune_threshold` does.
+fn retune_to(threshold: u32) -> impl FnMut(&mut RRule) {
+    move |rule| {
+        if !rule.actions.contains(&RAction::Report) {
+            return;
+        }
+        let on_global = rule.global_match != RMatch::ANY;
+        let old = if on_global { rule.global_match } else { rule.state_match };
+        let new =
+            RMatch { lo: threshold, hi: threshold.saturating_add(old.hi.saturating_sub(old.lo)) };
+        if on_global {
+            rule.global_match = new;
+        } else {
+            rule.state_match = new;
+        }
+    }
 }
 
 const BIG_REGS: usize = 1 << 20;
@@ -191,40 +280,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn planned_process_matches_reference_whole(
-        specs in prop::collection::vec(arb_query(), 1..3),
-        churn in prop::collection::vec((0usize..8, any::<bool>(), 1u64..25), 0..5),
+        picks in prop::collection::vec(arb_pick(), 1..3),
+        naive in any::<bool>(),
+        churn in prop::collection::vec((0usize..300, 0usize..8, 0u8..3, 1u64..25), 0..6),
         stream in arb_stream(),
     ) {
-        let mut planned = Switch::new(pipeline());
-        let mut reference = Switch::new(pipeline());
+        let (layout, stages) =
+            if naive { (LayoutKind::Naive, NAIVE_STAGES) } else { (LayoutKind::Compact, 12) };
+        let config = PipelineConfig { layout, stages, ..pipeline() };
+        let mut planned = Switch::new(config);
+        let mut reference = Switch::new(config);
         let mut live = Vec::new();
         let mut next_id = 1u32;
-        let mut install = |spec: QuerySpec, planned: &mut Switch, reference: &mut Switch| {
+        let mut install = |pick: Pick, planned: &mut Switch, reference: &mut Switch| {
             let id = next_id;
             next_id += 1;
-            let compiled = compile(&build(&spec, "prop"), id, &compiler_cfg());
-            planned.install(&compiled.rules).unwrap();
-            reference.install(&compiled.rules).unwrap();
-            (id, spec, compiled.rules)
+            let rules = rules_for(&pick.query(), id, layout);
+            planned.install(&rules).unwrap();
+            reference.install(&rules).unwrap();
+            (id, pick, rules)
         };
-        for spec in &specs {
-            live.push(install(spec.clone(), &mut planned, &mut reference));
+        for pick in &picks {
+            live.push(install(pick.clone(), &mut planned, &mut reference));
         }
-        // A removal compacts the tables, shifting the rule indices of the
-        // queries installed after it; a re-install appends a threshold
-        // variant under a fresh id. The plan must follow both.
-        for &(pick, reinstall, threshold) in &churn {
-            if live.is_empty() {
-                break;
+        // Churn between packets, at drawn packet positions. A removal
+        // compacts the tables under the queries installed after it; a
+        // re-install appends a threshold variant under a fresh id; a
+        // retune rewrites a query's reporting ℝ rules in place. The plan
+        // must follow all three.
+        let mut churn = churn;
+        churn.sort_by_key(|&(at, ..)| at);
+        let mut churn = churn.into_iter().peekable();
+        for (i, pkt) in stream.iter().enumerate() {
+            while let Some((_, pick, op, threshold)) = churn.next_if(|&(at, ..)| at <= i) {
+                if live.is_empty() {
+                    continue;
+                }
+                let at = pick % live.len();
+                if op == 2 {
+                    let id = live[at].0;
+                    let a = planned.update_r_rules(id, &mut retune_to(threshold as u32));
+                    let b = reference.update_r_rules(id, &mut retune_to(threshold as u32));
+                    prop_assert_eq!(a, b, "retune of query {} touched different rules", id);
+                    continue;
+                }
+                let (id, pick, _) = live.remove(at);
+                planned.remove_query(id);
+                reference.remove_query(id);
+                if op == 1 {
+                    live.push(install(pick.with_threshold(threshold), &mut planned, &mut reference));
+                }
             }
-            let (id, spec, _) = live.remove(pick % live.len());
-            planned.remove_query(id);
-            reference.remove_query(id);
-            if reinstall {
-                live.push(install(QuerySpec { threshold, ..spec }, &mut planned, &mut reference));
-            }
-        }
-        for pkt in &stream {
             // The tracer walks a clone holding the state `process` is
             // about to see, so its per-query report counts must match.
             let traces = trace_packet(&planned, pkt);
