@@ -318,7 +318,23 @@ impl QueryCode {
     /// Matching reads the stage-entry branch mask and global result; ℝ
     /// runs first in its stage, so the lane's sets still hold their
     /// stage-entry values throughout.
+    ///
+    /// A one-rule op, the common case, skips the scan: its rule fires iff
+    /// it matches the entry mask, its set's state result and the global
+    /// result.
     fn result(&self, rules: &[RStep], entry: u32, lane: &mut LaneState, reports: &mut Vec<Report>) {
+        if let [r] = rules {
+            let set = lane.sets[r.set.index()];
+            if lane_branch_active(entry, r.branch)
+                && r.state_match.contains(set.state_result)
+                && r.global_match.contains(lane.global)
+            {
+                for &action in &self.actions[r.actions.0 as usize..r.actions.1 as usize] {
+                    fire(action, self.query, r.branch, &set, lane, reports);
+                }
+            }
+            return;
+        }
         let global = lane.global;
         let states = [lane.sets[0].state_result, lane.sets[1].state_result];
         let hit = |r: &RStep| {
@@ -512,6 +528,13 @@ impl ExecPlan {
         continuation.or((!classify.is_empty()).then_some(DEAD_MARKER))
     }
 
+    /// Whether no later slice resumes on this switch, so every incoming
+    /// snapshot passes through unchanged.
+    #[inline]
+    pub(crate) fn resumes_none(&self) -> bool {
+        self.resume.is_empty()
+    }
+
     /// Resume the later slice `sp`'s cursor selects, if this switch holds
     /// one, and return the outgoing snapshot: the next slice's
     /// continuation, the processed marker once the query is done or dead,
@@ -628,8 +651,66 @@ impl LaneState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::InitRule;
+    use crate::layout::ModuleAddr;
+    use crate::rules::{InitRule, Operand, RRule, RuleSet, SRule};
+    use crate::switch::{PipelineConfig, Switch};
     use newton_packet::{Field, PacketBuilder, TcpFlags};
+
+    /// One-rule ℝ ops take the direct path. A rule that misses on the
+    /// entry branch mask, on its set's state result or on the global
+    /// result fires nothing, and `process` stays equal to
+    /// `process_reference`. Every rule under test stops its branch, which
+    /// would silence the report a later one-rule op makes each packet; a
+    /// hitting rule shows that the check has teeth.
+    #[test]
+    fn one_rule_result_ops_fire_only_on_a_full_match() {
+        let (set, stage_r) = (SetId::Set1, |stage| ModuleAddr { stage, slot: 3 });
+        let rule = |branch, state_match, global_match, actions| RRule {
+            query: 1,
+            branch,
+            set,
+            priority: 0,
+            state_match,
+            global_match,
+            actions,
+        };
+        let stop = || vec![RAction::GlobalSet, RAction::StopBranch];
+        let cases = [
+            ("branch miss", rule(1, RMatch::ANY, RMatch::ANY, stop()), 1),
+            ("state miss", rule(0, RMatch::exactly(1_000), RMatch::ANY, stop()), 1),
+            ("global miss", rule(0, RMatch::ANY, RMatch::exactly(0), stop()), 1),
+            ("hit", rule(0, RMatch::at_least(1), RMatch::ANY, stop()), 0),
+        ];
+        for (name, tested, per_packet) in cases {
+            let rules = RuleSet {
+                // Branch 0 active, branch 1 not.
+                init: vec![InitRule { query: 1, branch_mask: 0b01, matches: vec![] }],
+                // The state result counts packets: 1, 2, 3, ...
+                s: vec![(
+                    ModuleAddr { stage: 0, slot: 2 },
+                    SRule { query: 1, branch: 0, set, op: SaluOp::Add(Operand::Const(1)) },
+                )],
+                r: vec![
+                    (stage_r(1), tested),
+                    (stage_r(2), rule(0, RMatch::ANY, RMatch::ANY, vec![RAction::Report])),
+                ],
+                ..RuleSet::default()
+            };
+            let mut planned = Switch::new(PipelineConfig::default());
+            planned.install(&rules).unwrap();
+            let mut reference = planned.clone();
+            for n in 1..=3u32 {
+                let pkt = PacketBuilder::new().tcp_flags(TcpFlags::SYN).build();
+                let (a, b) = (planned.process(&pkt, None), reference.process_reference(&pkt, None));
+                assert_eq!(a.reports.len(), per_packet, "{name}: packet {n}");
+                assert_eq!(a.reports, b.reports, "{name}: packet {n}");
+                assert_eq!(a.snapshot, b.snapshot, "{name}: packet {n}");
+                for r in &a.reports {
+                    assert_eq!((r.state_result, r.global_result), (n, GLOBAL_INIT), "{name}");
+                }
+            }
+        }
+    }
 
     /// The compiled classifier must agree with the interpreted table on
     /// every entry shape — including entries whose required value exceeds

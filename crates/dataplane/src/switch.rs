@@ -716,56 +716,28 @@ impl Switch {
     }
 
     /// Process one packet: forward it, execute matching query slices,
-    /// return reports and an outgoing snapshot.
-    ///
-    /// The snapshot header doubles as a **processed marker**: resilient
-    /// placement (Algorithm 2) installs slice 0 on *every* edge switch, so
-    /// a monitored packet transiting a second slice-0 holder must not
-    /// re-execute the query. Slice 0 therefore runs only on SP-less
-    /// packets; once any query executed, the packet carries the header
-    /// until the last Newton hop strips it (done by `newton-net` before
-    /// host delivery). A fully-executed query's marker has
-    /// `cursor = u8::MAX`, matching no slice.
+    /// return reports and an outgoing snapshot. This is
+    /// [`process_into`](Self::process_into) with the reports collected
+    /// into a fresh vector.
     #[inline]
     pub fn process(&mut self, pkt: &Packet, sp_in: Option<&SnapshotHeader>) -> PipelineOutput {
         self.process_sink(pkt, sp_in, &mut NoopSink)
     }
 
     /// [`process`](Self::process) with a telemetry sink: emits one
-    /// [`Event::SwitchReport`] per report the walk produced. Every sink
-    /// touch sits behind `T::ENABLED`, a compile-time constant, so with
-    /// [`newton_telemetry::NoopSink`] this monomorphizes to the
-    /// uninstrumented path — the perf bench gates that at < 2 % overhead
-    /// on the pipeline hot path.
-    ///
-    /// The packet's lanes — every slice-0 query `newton_init` classifies,
-    /// in classification order, or the one slice the incoming snapshot's
-    /// cursor resumes — each walk their query's decoded steps in turn.
-    /// Reports land in emission order, and sink events follow that order.
+    /// [`Event::SwitchReport`] per report the walk produced, in emission
+    /// order. Every sink touch sits behind `T::ENABLED`, a compile-time
+    /// constant, so with [`newton_telemetry::NoopSink`] this
+    /// monomorphizes to the uninstrumented path — the perf bench gates
+    /// that at < 2 % overhead on the pipeline hot path.
     pub fn process_sink<T: Telemetry>(
         &mut self,
         pkt: &Packet,
         sp_in: Option<&SnapshotHeader>,
         sink: &mut T,
     ) -> PipelineOutput {
-        self.forwarded += 1;
-        let Switch { stages, plan, classify, .. } = self;
         let mut out = PipelineOutput::default();
-        out.snapshot = match sp_in {
-            // Slice-0 queries dispatched by newton_init.
-            None => {
-                plan.run_fresh(stages, FieldVector::from_packet(pkt), classify, &mut out.reports)
-            }
-            // The later slice resumed from the incoming snapshot cursor
-            // (unique by construction) continues to the next slice or
-            // dies; with no slice to resume, the header passes through.
-            Some(sp) => Some(plan.run_resumed(
-                stages,
-                || FieldVector::from_packet(pkt),
-                sp,
-                &mut out.reports,
-            )),
-        };
+        out.snapshot = self.process_into(pkt, sp_in, &mut out.reports);
         if T::ENABLED {
             for r in &out.reports {
                 sink.record(Event::SwitchReport {
@@ -777,6 +749,46 @@ impl Switch {
             }
         }
         out
+    }
+
+    /// The per-hop call: forward one packet, execute matching query
+    /// slices, append their reports to `reports` in emission order, and
+    /// return the outgoing snapshot.
+    ///
+    /// The snapshot header doubles as a **processed marker**: resilient
+    /// placement (Algorithm 2) installs slice 0 on *every* edge switch, so
+    /// a monitored packet transiting a second slice-0 holder must not
+    /// re-execute the query. Slice 0 therefore runs only on SP-less
+    /// packets; once any query executed, the packet carries the header
+    /// until the last Newton hop strips it (done by `newton-net` before
+    /// host delivery). A fully-executed query's marker has
+    /// `cursor = u8::MAX`, matching no slice.
+    ///
+    /// The packet's lanes — every slice-0 query `newton_init` classifies,
+    /// in classification order, or the one slice the incoming snapshot's
+    /// cursor resumes — each walk their query's decoded steps in turn. A
+    /// snapshot no slice here resumes passes through unchanged; on a
+    /// switch that resumes no slice at all, that costs one length check.
+    #[inline]
+    pub fn process_into(
+        &mut self,
+        pkt: &Packet,
+        sp_in: Option<&SnapshotHeader>,
+        reports: &mut Vec<Report>,
+    ) -> Option<SnapshotHeader> {
+        self.forwarded += 1;
+        let Switch { stages, plan, classify, .. } = self;
+        match sp_in {
+            // Slice-0 queries dispatched by newton_init.
+            None => plan.run_fresh(stages, FieldVector::from_packet(pkt), classify, reports),
+            Some(sp) if plan.resumes_none() => Some(*sp),
+            // The later slice resumed from the incoming snapshot cursor
+            // (unique by construction) continues to the next slice or
+            // dies; with no slice to resume, the header passes through.
+            Some(sp) => {
+                Some(plan.run_resumed(stages, || FieldVector::from_packet(pkt), sp, reports))
+            }
+        }
     }
 
     /// The seed (pre-plan) packet path, retained as the behavioural

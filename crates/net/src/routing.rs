@@ -5,9 +5,10 @@
 //! flow key — deterministic per flow, spreading flows like hardware ECMP.
 //!
 //! Routing is table-driven: one BFS per destination yields a *row* holding
-//! every node's hop distance and its live downhill neighbours, so a path
-//! is one row read plus one ECMP pick per hop. Rows are built on first use
-//! and dropped by every change to link or switch state.
+//! every node's hop distance and its live downhill neighbours, each with
+//! the id of the link to it, so a path is one row read plus one ECMP pick
+//! per hop. Rows are built on first use and dropped by every change to
+//! link or switch state.
 
 use crate::sim::LinkKey;
 use crate::topology::{NodeId, Topology};
@@ -39,8 +40,8 @@ struct Row {
     /// Hops from each node to the destination; `usize::MAX` if unreachable.
     dist: Vec<usize>,
     /// Each node's live next hops toward the destination, in neighbour
-    /// order: its ECMP candidate list.
-    next: Vec<Vec<NodeId>>,
+    /// order, with the id of the link to each: its ECMP candidate list.
+    next: Vec<Vec<(NodeId, usize)>>,
 }
 
 /// Routing over a topology with a mutable failure set (links and whole
@@ -182,9 +183,10 @@ impl Router {
         live
     }
 
-    /// Live neighbors of a switch, in neighbour order.
-    fn live_neighbors(&self, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[s].iter().filter(move |&&(n, id)| self.live(s, n, id)).map(|&(n, _)| n)
+    /// Live neighbors of a switch with the id of the link to each, in
+    /// neighbour order.
+    fn live_neighbors(&self, s: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.adj[s].iter().copied().filter(move |&(n, id)| self.live(s, n, id))
     }
 
     /// `dst`'s row, built by one BFS over the live topology on first use.
@@ -195,7 +197,7 @@ impl Router {
             dist[dst] = 0;
             let mut queue = VecDeque::from([dst]);
             while let Some(s) = queue.pop_front() {
-                for nb in self.live_neighbors(s) {
+                for (nb, _) in self.live_neighbors(s) {
                     if dist[nb] == usize::MAX {
                         dist[nb] = dist[s] + 1;
                         queue.push_back(nb);
@@ -205,7 +207,7 @@ impl Router {
             // Live neighbours lie in one component, at most one hop apart
             // in distance, so a closer neighbour is exactly one hop closer.
             let next = (0..n)
-                .map(|v| self.live_neighbors(v).filter(|&nb| dist[nb] < dist[v]).collect())
+                .map(|v| self.live_neighbors(v).filter(|&(nb, _)| dist[nb] < dist[v]).collect())
                 .collect();
             Row { dist, next }
         })
@@ -229,6 +231,36 @@ impl Router {
         flow: &FlowKey,
         _scratch: &mut RouteScratch,
         out: &mut Vec<NodeId>,
+    ) -> bool {
+        self.walk(src, dst, flow, out, |_| {})
+    }
+
+    /// [`path_into`](Self::path_into) that also writes, into `links`
+    /// (cleared first), the id of the link each hop crosses: `links[i]`
+    /// joins `out[i]` and `out[i + 1]`. Delivery indexes its per-link
+    /// counters with these ids.
+    pub(crate) fn route_into(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        flow: &FlowKey,
+        out: &mut Vec<NodeId>,
+        links: &mut Vec<usize>,
+    ) -> bool {
+        links.clear();
+        self.walk(src, dst, flow, out, |id| links.push(id))
+    }
+
+    /// The walk behind both route calls: the node sequence into `out`
+    /// (cleared first) and each crossed link's id to `link`, in order.
+    #[inline(always)]
+    fn walk(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        flow: &FlowKey,
+        out: &mut Vec<NodeId>,
+        mut link: impl FnMut(usize),
     ) -> bool {
         out.clear();
         if !self.alive[src] || !self.alive[dst] {
@@ -257,13 +289,14 @@ impl Router {
         while cur != dst {
             let candidates = &row.next[cur];
             // A lone candidate is what the hash would pick anyway.
-            let pick = if let [only] = candidates[..] {
+            let (pick, id) = if let [only] = candidates[..] {
                 only
             } else {
                 candidates[(mix64(fk ^ (cur as u64).wrapping_mul(0xABCD)) % candidates.len() as u64)
                     as usize]
             };
             out.push(pick);
+            link(id);
             cur = pick;
         }
         true
@@ -289,6 +322,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn flow(seed: u16) -> FlowKey {
         FlowKey { src_ip: 1, dst_ip: 2, src_port: seed, dst_port: 80, protocol: 6 }
@@ -389,6 +423,52 @@ mod tests {
         assert_eq!(r.path(0, 3, &flow(1)), before, "routing is untouched");
         assert_eq!(r.live_topology().link_count(), 3, "no phantom link failed or added");
         assert!((0..3).all(|a| r.link_up(a, a + 1)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under random link and switch fail/restore schedules, the route
+        /// delivery uses is `path` node for node, and each of its link ids
+        /// is `link_id` of the hop pair it joins.
+        #[test]
+        fn route_links_are_the_hops_link_ids(
+            shape in 0usize..3,
+            ops in prop::collection::vec((0u8..4, any::<usize>(), any::<usize>()), 0..24),
+            draws in prop::collection::vec((any::<usize>(), any::<usize>(), any::<u16>()), 1..8),
+        ) {
+            let topo = match shape {
+                0 => Topology::fat_tree(4),
+                1 => Topology::abilene(),
+                _ => Topology::chain(5),
+            };
+            let n = topo.len();
+            let mut r = Router::new(topo);
+            let (mut nodes, mut links) = (Vec::new(), Vec::new());
+            for &(op, s, k) in &ops {
+                let s = s % n;
+                let b = r.adj[s][k % r.adj[s].len()].0;
+                match op {
+                    0 => r.fail_link(s, b),
+                    1 => r.restore_link(s, b),
+                    2 => r.fail_switch(s),
+                    _ => r.restore_switch(s),
+                }
+                for &(src, dst, port) in &draws {
+                    let (src, dst, f) = (src % n, dst % n, flow(port));
+                    let want = r.path(src, dst, &f);
+                    prop_assert_eq!(
+                        r.route_into(src, dst, &f, &mut nodes, &mut links),
+                        want.is_some()
+                    );
+                    prop_assert_eq!(&nodes, &want.unwrap_or_default());
+                    prop_assert_eq!(links.len(), nodes.len().saturating_sub(1));
+                    for (hop, &id) in nodes.windows(2).zip(&links) {
+                        prop_assert_eq!(Some(id), r.link_id(hop[0], hop[1]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

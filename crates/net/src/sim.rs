@@ -6,7 +6,7 @@
 //! adjacent Newton hops and is stripped before the last hop hands the
 //! packet to the destination host (§5.1).
 
-use crate::routing::{RouteScratch, Router};
+use crate::routing::Router;
 use crate::topology::{NodeId, Topology};
 use newton_dataplane::{PipelineConfig, Report, Switch};
 use newton_packet::{Packet, SnapshotHeader};
@@ -109,8 +109,12 @@ pub struct Network {
     /// "Newton supports partial deployment, and CQE only works in
     /// adjacent Newton-enabled switches").
     newton_enabled: Vec<bool>,
-    /// The delivery path's reusable route buffer.
+    /// The delivery path's buffers: the routed packet's nodes, the id of
+    /// each link it crosses (`links[i]` joins `path[i]` and `path[i + 1]`),
+    /// and one hop's reports.
     path: Vec<NodeId>,
+    links: Vec<usize>,
+    hop_reports: Vec<Report>,
 }
 
 impl Network {
@@ -124,12 +128,14 @@ impl Network {
             switches: (0..n).map(|_| Switch::new(pipeline)).collect(),
             newton_enabled: vec![true; n],
             path: Vec::new(),
+            links: Vec::new(),
+            hop_reports: Vec::new(),
         }
     }
 
     /// Packets per pipeline call on the delivery path: always 1, since
-    /// every hop runs [`Switch::process`] on one packet. Its only caller
-    /// is `perfbench/`, which logs it and passes it to
+    /// every hop runs [`Switch::process_into`] on one packet. Its only
+    /// caller is `perfbench/`, which logs it and passes it to
     /// [`Switch::reserve_batch`], a no-op.
     pub fn batch_lanes(&self) -> usize {
         1
@@ -225,43 +231,40 @@ impl Network {
     /// behind `egress`. Every hop forwards unconditionally; monitoring is
     /// a pure observer.
     pub fn deliver(&mut self, pkt: &Packet, ingress: NodeId, egress: NodeId) -> DeliveryResult {
-        let mut path = Vec::new();
-        if !self.router.path_into(ingress, egress, &pkt.flow_key(), &mut RouteScratch, &mut path) {
+        if !self.route(pkt, ingress, egress) {
             return DeliveryResult {
-                path,
+                path: Vec::new(),
                 reports: Vec::new(),
                 snapshot_bytes: 0,
                 clean_delivery: false,
             };
         }
         let mut reports = Vec::new();
-        let snapshot_bytes = self.walk_path(pkt, &path, &mut reports);
-        DeliveryResult { path, reports, snapshot_bytes, clean_delivery: true }
+        let snapshot_bytes = self.walk_path(pkt, &mut reports);
+        DeliveryResult { path: self.path.clone(), reports, snapshot_bytes, clean_delivery: true }
     }
 
     /// Deliver a batch of `(packet, ingress, egress)` triples: exactly
     /// [`deliver`](Self::deliver) per packet, in batch order, minus its
-    /// per-call allocations (one reports vector, one reused path buffer).
+    /// per-call allocations (one reports vector, no path copies).
     /// Only the aggregate outcome is returned.
     pub fn deliver_batch(&mut self, batch: &[(&Packet, NodeId, NodeId)]) -> BatchDelivery {
-        let mut path = std::mem::take(&mut self.path);
         let mut out = BatchDelivery::default();
         for &(pkt, ingress, egress) in batch {
-            if !self.router.path_into(
-                ingress,
-                egress,
-                &pkt.flow_key(),
-                &mut RouteScratch,
-                &mut path,
-            ) {
+            if !self.route(pkt, ingress, egress) {
                 out.unrouted += 1;
                 continue;
             }
-            out.snapshot_bytes += self.walk_path(pkt, &path, &mut out.reports);
+            out.snapshot_bytes += self.walk_path(pkt, &mut out.reports);
             out.delivered += 1;
         }
-        self.path = path;
         out
+    }
+
+    /// Route one packet into the delivery path's buffers; `false` if no
+    /// route exists.
+    fn route(&mut self, pkt: &Packet, ingress: NodeId, egress: NodeId) -> bool {
+        self.router.route_into(ingress, egress, &pkt.flow_key(), &mut self.path, &mut self.links)
     }
 
     /// [`deliver_batch`](Self::deliver_batch); the thread count is
@@ -274,37 +277,33 @@ impl Network {
         self.deliver_batch(batch)
     }
 
-    /// Walk one routed packet through its hops: execute Newton pipelines,
-    /// tag mirrored reports, and add each link's bytes to its counters.
-    /// Returns the snapshot bytes the packet put on the wire.
-    fn walk_path(
-        &mut self,
-        pkt: &Packet,
-        path: &[NodeId],
-        reports: &mut Vec<(NodeId, Report)>,
-    ) -> usize {
+    /// Walk the routed packet through its hops: execute Newton pipelines,
+    /// tag mirrored reports, and add each crossed link's bytes to its
+    /// counters. Returns the snapshot bytes the packet put on the wire.
+    fn walk_path(&mut self, pkt: &Packet, reports: &mut Vec<(NodeId, Report)>) -> usize {
+        let Network { router, switches, link_load, newton_enabled, path, links, hop_reports } =
+            self;
         let mut snapshot: Option<SnapshotHeader> = None;
         let mut snapshot_bytes = 0usize;
         for (i, &hop) in path.iter().enumerate() {
-            if self.newton_enabled[hop] && self.router.switch_up(hop) {
-                let out = self.switches[hop].process(pkt, snapshot.as_ref());
-                reports.extend(out.reports.into_iter().map(|r| (hop, r)));
-                snapshot = out.snapshot;
-            }
             // A non-Newton (or failed) hop forwards the frame (and any
             // snapshot on it) untouched. The router never routes through a
             // dead switch, so the liveness check is only a guard.
+            if newton_enabled[hop] && router.switch_up(hop) {
+                snapshot = switches[hop].process_into(pkt, snapshot.as_ref(), hop_reports);
+                if !hop_reports.is_empty() {
+                    reports.extend(hop_reports.drain(..).map(|r| (hop, r)));
+                }
+            }
             // The snapshot travels on the wire to the next hop, if any.
-            if i + 1 < path.len() {
+            if let Some(&link) = links.get(i) {
                 let sp = if snapshot.is_some() {
                     snapshot_bytes += newton_packet::SP_HEADER_LEN;
                     newton_packet::SP_HEADER_LEN as u64
                 } else {
                     0
                 };
-                let link =
-                    self.router.link_id(hop, path[i + 1]).expect("a routed hop crosses a link");
-                let load = &mut self.link_load[link];
+                let load = &mut link_load[link];
                 load.packets += 1;
                 load.payload_bytes += pkt.wire_len as u64;
                 load.snapshot_bytes += sp;

@@ -172,7 +172,10 @@ impl Client {
     }
 
     /// Replay the daemon's workload stream; `segments`/`seed` override
-    /// the template when given.
+    /// the template when given. The daemon answers `bad_request` for more
+    /// than [`MAX_RUN_SEGMENTS`](crate::server::MAX_RUN_SEGMENTS) segments,
+    /// and for a value above 2^53, which a JSON number cannot carry
+    /// exactly.
     pub fn run(&mut self, segments: Option<u64>, seed: Option<u64>) -> Result<Value, ClientError> {
         let mut fields = Vec::new();
         if let Some(n) = segments {

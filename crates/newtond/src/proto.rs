@@ -20,6 +20,7 @@
 //! `{"stream":"journal","truncated":<n>}` marker once it catches up.
 
 use crate::json::{self, Value};
+use crate::server::MAX_RUN_SEGMENTS;
 use newton::net::NetworkEvent;
 use newton::telemetry::QueryId;
 use std::fmt;
@@ -106,6 +107,17 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
             .and_then(Value::as_u64)
             .ok_or_else(|| fail(format!("op {op_name:?} needs non-negative integer {field:?}")))
     };
+    // An optional integer field: absent is `None`, anything else must be
+    // a non-negative integer.
+    let opt_u64 = |field: &str| {
+        v.get(field)
+            .map(|x| {
+                x.as_u64().ok_or_else(|| {
+                    fail(format!("op {op_name:?} field {field:?} must be a non-negative integer"))
+                })
+            })
+            .transpose()
+    };
     let need_query = || {
         let raw = need_u64("query")?;
         QueryId::try_from(raw).map_err(|_| fail(format!("query id {raw} exceeds u32")))
@@ -123,10 +135,13 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
         "list" => Op::List,
         "inject" => Op::Inject { event: parse_event(&v, &fail)? },
         "repair" => Op::Repair,
-        "run" => Op::Run {
-            segments: v.get("segments").and_then(Value::as_u64),
-            seed: v.get("seed").and_then(Value::as_u64),
-        },
+        "run" => {
+            let segments = opt_u64("segments")?;
+            if let Some(n) = segments.filter(|&n| n > MAX_RUN_SEGMENTS) {
+                return Err(fail(format!("segments {n} exceeds {MAX_RUN_SEGMENTS}")));
+            }
+            Op::Run { segments, seed: opt_u64("seed")? }
+        }
         "report" => Op::Report,
         "metrics" => Op::Metrics {
             prometheus: v.get("format").and_then(Value::as_str) == Some("prometheus"),
@@ -257,6 +272,34 @@ mod tests {
         assert_eq!(e.id, 9);
         assert!(e.detail.contains("intent"));
         assert_eq!(parse_request("not json").unwrap_err().id, 0);
+    }
+
+    #[test]
+    fn run_fields_must_be_bounded_non_negative_integers() {
+        let run = |fields: &str| parse_request(&format!(r#"{{"id":5,"op":"run"{fields}}}"#));
+        assert_eq!(run("").unwrap().op, Op::Run { segments: None, seed: None });
+        let max = MAX_RUN_SEGMENTS;
+        assert_eq!(
+            run(&format!(r#","segments":{max},"seed":0"#)).unwrap().op,
+            Op::Run { segments: Some(max), seed: Some(0) }
+        );
+        for bad in [
+            r#","segments":"many""#,
+            r#","segments":-1"#,
+            r#","segments":1.5"#,
+            r#","segments":null"#,
+            r#","segments":1000000000000"#,
+            r#","seed":"x""#,
+            r#","seed":-1"#,
+            r#","seed":0.5"#,
+            r#","seed":[7]"#,
+        ] {
+            let e = run(bad).unwrap_err();
+            assert_eq!(e.id, 5, "{bad}");
+            let field = if bad.contains("seed") { "seed" } else { "segments" };
+            assert!(e.detail.contains(field), "{bad}: {}", e.detail);
+        }
+        assert!(run(&format!(r#","segments":{}"#, max + 1)).is_err());
     }
 
     #[test]

@@ -59,6 +59,12 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 /// connection thread buffer without bound.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
+/// Most segments one `run` may replay: 100 s of modeled traffic at the
+/// default 100 ms segment. A replay holds the core thread, so a larger
+/// `segments` is answered with `bad_request` rather than blocking every
+/// other client, and `shutdown`, for the whole replay.
+pub const MAX_RUN_SEGMENTS: u64 = 1_000;
+
 /// Everything the daemon needs to build and drive its system.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {

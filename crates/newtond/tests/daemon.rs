@@ -421,6 +421,39 @@ fn inject_outside_the_topology_is_a_bad_request() {
 }
 
 #[test]
+fn run_with_a_bad_segments_or_seed_is_a_bad_request() {
+    use newtond::json;
+    use newtond::server::MAX_RUN_SEGMENTS;
+
+    let daemon = test_daemon();
+    let addr = daemon.addr().to_string();
+    let mut good = Client::connect(&addr, TIMEOUT).expect("connect");
+    good.install(INTENTS[0].0, INTENTS[0].1).expect("install");
+    let before = good.list().expect("list before the bad runs");
+
+    // No request here is valid, so none starts a replay.
+    let mut ctl = Client::connect(&addr, TIMEOUT).expect("connect");
+    let too_many = MAX_RUN_SEGMENTS as f64 + 1.0;
+    for field in ["segments", "seed"] {
+        for bad in [json::str("many"), json::num(-1.0), json::num(1.5), Value::Null] {
+            let err = ctl.request("run", vec![(field, bad.clone())]).expect_err("not a u64");
+            assert!(err.is_kind(ErrorKind::BadRequest), "{field} = {bad}: got {err}");
+        }
+    }
+    for segments in [too_many, 1e12] {
+        let err = ctl
+            .request("run", vec![("segments", json::num(segments))])
+            .expect_err("above the segment bound");
+        assert!(err.is_kind(ErrorKind::BadRequest), "segments = {segments}: got {err}");
+    }
+
+    assert_eq!(good.list().expect("list after the bad runs"), before);
+    ctl.ping().expect("the rejecting connection stays usable");
+    good.shutdown().expect("shutdown");
+    daemon.join();
+}
+
+#[test]
 fn hostile_lines_get_bad_request_and_leave_other_clients_alone() {
     use newtond::json;
     use newtond::server::MAX_REQUEST_LINE;
