@@ -591,13 +591,15 @@ impl Controller {
         net: &mut Network,
         stages_per_switch: usize,
     ) -> Result<InstallReceipt, UpdateError> {
-        let Some(prior) = self.installed.get(&old).cloned() else {
-            return Err(UpdateError::UnknownQuery(old));
-        };
         // `installed` and `slots_in_use` are updated in lock-step, so a
         // live entry always has a slot; treat a missing one as unknown
         // rather than assuming slot 0.
         let Some(slot) = self.slots_in_use.get(&old).copied() else {
+            return Err(UpdateError::UnknownQuery(old));
+        };
+        // The entry leaves `installed` for the op and goes back as the
+        // rollback copy if the update is rejected.
+        let Some(prior) = self.installed.remove(&old) else {
             return Err(UpdateError::UnknownQuery(old));
         };
         let query_cfg = self.slot_config(slot);
@@ -653,7 +655,6 @@ impl Controller {
                         // Should be unreachable (the old rules fit before);
                         // leave the network clean rather than half-restored.
                         Self::scrub(&mut self.channel, net, old);
-                        self.installed.remove(&old);
                         self.slots_in_use.remove(&old);
                         Err(UpdateError::Rejected { error, restore_delay_ms: 0.0 })
                     }

@@ -23,8 +23,8 @@
 //! switch, for its registers. Other queries' programs are untouched by a
 //! recompile, because a step holds payloads, not table positions.
 //!
-//! Next to the programs the plan keeps two indices, rebuilt after every
-//! configuration call except a retune (which cannot change them):
+//! Next to the programs the plan keeps two indices, kept in step with
+//! every configuration call except a retune (which cannot change them):
 //!
 //! * **classification** — every `newton_init` ternary entry compiled to
 //!   one `(value, mask)` pair over the full 128-bit field vector and
@@ -33,12 +33,16 @@
 //!   over `u128`s that yields the programs to run already sorted. Entries
 //!   that can never match (a required value bit outside its field's
 //!   width, or two matches demanding different values of one bit) are
-//!   dropped at compile time.
+//!   dropped at compile time. A call patches the classifier in place: it
+//!   compiles only a touched program's own entries and splices them in or
+//!   out at the program's position, and a program that comes or goes
+//!   shifts the program index of every later entry by one.
 //! * **resume-by-cursor dispatch** — snapshot cursor → the unique later
 //!   slice it resumes (uniqueness is guaranteed because conflicting
 //!   assignments are rejected at configuration time — the snapshot header
 //!   carries no query id, so two slices resuming at one cursor would be
-//!   ambiguous).
+//!   ambiguous). Re-derived from the programs' later slices after each
+//!   call, which reads no rule table.
 //!
 //! ## One lane state per stage
 //!
@@ -416,8 +420,15 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Recompile the programs of `queries` from the switch's
-    /// configuration, then rebuild the classification and resume indices.
-    /// A query left with nothing to dispatch loses its program.
+    /// configuration and keep both indices in step with them. A query
+    /// left with nothing to dispatch loses its program.
+    ///
+    /// The classifier is patched in place: a touched program's entries,
+    /// compiled from its own `newton_init` entries only, replace the old
+    /// ones at its position, and a program that comes or goes shifts the
+    /// program index of every later entry by one. The resume index is
+    /// re-derived from the programs' later slices, which reads no rule
+    /// table.
     pub(crate) fn recompile(
         &mut self,
         queries: &[QueryId],
@@ -437,11 +448,30 @@ impl ExecPlan {
                 ),
             };
             let found = self.codes.binary_search_by_key(&query, |c| c.query);
+            let keep = slice0.is_some() || !later.is_empty();
+            // The program's classifier entries, one range since they are
+            // grouped by program; empty for a program not yet held.
+            let (Ok(pos) | Err(pos)) = found;
+            let c = pos as u32;
+            let lo = self.classifier.partition_point(|r| r.code < c);
+            let hi = match found {
+                Ok(_) => lo + self.classifier[lo..].partition_point(|r| r.code == c),
+                Err(_) => lo,
+            };
+            // A program that comes or goes renumbers every later one.
+            match (found, keep) {
+                (Ok(_), false) => self.classifier[hi..].iter_mut().for_each(|r| r.code -= 1),
+                (Err(_), true) => self.classifier[hi..].iter_mut().for_each(|r| r.code += 1),
+                _ => {}
+            }
+            let own = init.rules().iter().filter(|r| slice0.is_some() && r.query == query);
+            let entries: Vec<_> = own.filter_map(|r| compile_init_rule(r, c)).collect();
+            self.classifier.splice(lo..hi, entries);
             match found {
-                Ok(pos) if slice0.is_none() && later.is_empty() => {
+                Ok(pos) if !keep => {
                     self.codes.remove(pos);
                 }
-                Err(_) if slice0.is_none() && later.is_empty() => {}
+                Err(_) if !keep => {}
                 Ok(pos) => {
                     let code = &mut self.codes[pos];
                     (code.slice0, code.later) = (slice0, later);
@@ -454,7 +484,13 @@ impl ExecPlan {
                 }
             }
         }
-        self.reindex(init);
+        self.resume.clear();
+        for (c, code) in self.codes.iter().enumerate() {
+            for (k, d) in code.later.iter().enumerate() {
+                self.resume.push((d.info.index, c as u32, k as u32));
+            }
+        }
+        self.resume.sort_unstable();
     }
 
     /// Re-decode `query`'s program in place after its rules changed
@@ -466,25 +502,28 @@ impl ExecPlan {
         }
     }
 
-    /// Rebuild the classification and resume indices over the programs.
-    fn reindex(&mut self, init: &InitTable) {
-        self.resume.clear();
+    /// The classification and resume indices built from scratch over the
+    /// programs: the reference the in-place patching is checked against.
+    #[cfg(test)]
+    fn reindexed(&self, init: &InitTable) -> (Vec<CompiledInitRule>, Vec<(u8, u32, u32)>) {
+        let mut resume = Vec::new();
         for (c, code) in self.codes.iter().enumerate() {
             for (k, d) in code.later.iter().enumerate() {
-                self.resume.push((d.info.index, c as u32, k as u32));
+                resume.push((d.info.index, c as u32, k as u32));
             }
         }
-        self.resume.sort_unstable();
-        self.classifier.clear();
+        resume.sort_unstable();
+        let mut classifier = Vec::new();
         for rule in init.rules() {
             let Ok(c) = self.codes.binary_search_by_key(&rule.query, |c| c.query) else {
                 continue;
             };
             if self.codes[c].slice0.is_some() {
-                self.classifier.extend(compile_init_rule(rule, c as u32));
+                classifier.extend(compile_init_rule(rule, c as u32));
             }
         }
-        self.classifier.sort_unstable_by_key(|r| r.code);
+        classifier.sort_unstable_by_key(|r| r.code);
+        (classifier, resume)
     }
 
     /// Compiled `newton_init` classification: every program holding
@@ -652,7 +691,7 @@ impl LaneState {
 mod tests {
     use super::*;
     use crate::layout::ModuleAddr;
-    use crate::rules::{InitRule, Operand, RRule, RuleSet, SRule};
+    use crate::rules::{HRule, InitRule, KRule, Operand, RRule, RuleSet, SRule};
     use crate::switch::{PipelineConfig, Switch};
     use newton_packet::{Field, PacketBuilder, TcpFlags};
 
@@ -710,6 +749,224 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A program's place in the plan before and after a call, for the
+    /// coverage counts of `in_place_indices_track_every_configuration_call`.
+    fn programs(plan: &ExecPlan) -> Vec<(QueryId, bool, bool)> {
+        plan.codes.iter().map(|c| (c.query, c.slice0.is_some(), !c.later.is_empty())).collect()
+    }
+
+    /// The plan's indices equal a from-scratch build: the classifier per
+    /// program as a multiset of entries, in program order, and the resume
+    /// index exactly.
+    fn assert_indices_match(plan: &ExecPlan, init: &InitTable, ctx: &str) {
+        let (classifier, resume) = plan.reindexed(init);
+        let by_program = |entries: &[CompiledInitRule]| {
+            assert!(entries.windows(2).all(|w| w[0].code <= w[1].code), "{ctx}: not grouped");
+            let mut v: Vec<_> =
+                entries.iter().map(|r| (r.code, r.value, r.mask, r.branch_mask)).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(by_program(&plan.classifier), by_program(&classifier), "{ctx}: classifier");
+        assert_eq!(plan.resume, resume, "{ctx}: resume index");
+    }
+
+    /// Random sequences of every configuration call keep the classifier
+    /// and resume index, which each call patches in place, equal to a
+    /// from-scratch build, and `process` equal to `process_reference` on
+    /// fresh and resumed packets. Query ids come from a small range, so
+    /// programs come and go before, between and after held ones; the
+    /// counts at the end pin that every such case, a program holding only
+    /// later slices, one that loses slice 0 but keeps a later slice, and a
+    /// never-matching `newton_init` entry all occurred.
+    #[test]
+    fn in_place_indices_track_every_configuration_call() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Four slices of four stages each: 𝕂, ℍ, 𝕊, ℝ.
+        const SLICES: usize = 4;
+        let config = PipelineConfig { stages: 4 * SLICES, ..PipelineConfig::default() };
+        let info = |k: usize, capture_set, restore_set| SliceInfo {
+            index: k as u8,
+            total: SLICES as u8,
+            capture_set,
+            restore_set,
+            stages: (4 * k, 4 * k + 4),
+        };
+        let set = |rng: &mut StdRng| if rng.gen_bool(0.5) { SetId::Set1 } else { SetId::Set2 };
+        let init_entry = |rng: &mut StdRng, query| InitRule {
+            query,
+            branch_mask: rng.gen_range(1..=3),
+            matches: match rng.gen_range(0..5) {
+                0 => vec![],
+                1 => vec![(Field::Proto, 6, 0xFF)],
+                2 => vec![(Field::TcpFlags, 2, 0xFF)],
+                3 => vec![(Field::DstPort, 80, 0xFFFF)],
+                // A value bit outside Proto's width: compiles to nothing.
+                _ => vec![(Field::Proto, 0x1_06, 0x1_FF)],
+            },
+        };
+        // Slice `k`'s rules: slice 0 carries the `newton_init` entries.
+        let slice_rules = |rng: &mut StdRng, query, k: usize| {
+            let mut rules = RuleSet::default();
+            if k == 0 {
+                rules.init = (0..rng.gen_range(1..=3)).map(|_| init_entry(rng, query)).collect();
+            }
+            let at = |i: usize| ModuleAddr { stage: 4 * k + i, slot: i };
+            for branch in 0..2u8 {
+                if branch > 0 && rng.gen_bool(0.5) {
+                    continue;
+                }
+                let set = set(rng);
+                let mask =
+                    if rng.gen_bool(0.5) { Field::DstIp.mask() } else { Field::SrcIp.mask() };
+                rules.k.push((at(0), KRule { query, branch, set, mask }));
+                let mode = HashMode::Hash { seed: rng.gen_range(1..100), range: 64 };
+                rules.h.push((at(1), HRule { query, branch, set, mode, offset: 0 }));
+                let op = SaluOp::Add(Operand::Const(1));
+                rules.s.push((at(2), SRule { query, branch, set, op }));
+                let r = |priority, state_match, actions| RRule {
+                    query,
+                    branch,
+                    set,
+                    priority,
+                    state_match,
+                    global_match: RMatch::ANY,
+                    actions,
+                };
+                let threshold = rng.gen_range(1..4);
+                rules.r.push((at(3), r(0, RMatch::at_least(threshold), vec![RAction::Report])));
+                if rng.gen_bool(0.5) {
+                    let stop = vec![RAction::GlobalAdd, RAction::Report, RAction::StopBranch];
+                    rules.r.push((at(3), r(1, RMatch::at_least(threshold + 1), stop)));
+                }
+            }
+            rules
+        };
+        let merge = |mut a: RuleSet, b: RuleSet| {
+            a.init.extend(b.init);
+            a.k.extend(b.k);
+            a.h.extend(b.h);
+            a.s.extend(b.s);
+            a.r.extend(b.r);
+            a
+        };
+        let mut packets: Vec<(newton_packet::Packet, Option<SnapshotHeader>)> = Vec::new();
+        for flags in [TcpFlags::SYN, TcpFlags::ACK] {
+            for (dst, port) in [(0x0A00_0001, 80), (0x0A00_0002, 443)] {
+                let pkt = PacketBuilder::new().dst_ip(dst).dst_port(port).tcp_flags(flags);
+                packets.push((pkt.build(), None));
+            }
+        }
+        let udp = PacketBuilder::new().protocol(newton_packet::Protocol::Udp).build();
+        packets.push((udp.clone(), None));
+        for cursor in 1..SLICES as u8 {
+            for active_mask in [0, 1, 3] {
+                let sp = SnapshotHeader {
+                    cursor,
+                    active_mask,
+                    hash_result: 7,
+                    state_result: 2,
+                    global_result: 5,
+                };
+                packets.push((udp.clone(), Some(sp)));
+            }
+        }
+        // Inserted and removed programs by position among the others
+        // (first, between, last), then the three shapes named above.
+        let (mut inserted, mut removed) = ([0; 3], [0; 3]);
+        let (mut only_later, mut lost_slice0, mut never_matching) = (0, 0, 0);
+        let position = |at: usize, len: usize| match at {
+            0 => 0,
+            _ if at + 1 == len => 2,
+            _ => 1,
+        };
+        for seed in 0..48 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sw = Switch::new(config);
+            for call in 0..80 {
+                let query: QueryId = rng.gen_range(1..=7);
+                let before = programs(sw.plan().0);
+                let what = match rng.gen_range(0..8) {
+                    0 => {
+                        let whole = (0..SLICES).map(|k| slice_rules(&mut rng, query, k));
+                        let mut rules = whole.reduce(merge).expect("four slices");
+                        if rng.gen_bool(0.3) {
+                            // A second query's slice 0 in the same call.
+                            let other = rng.gen_range(1..=7);
+                            rules = merge(rules, slice_rules(&mut rng, other, 0));
+                        }
+                        format!("install {:?}", sw.install(&rules))
+                    }
+                    1 => format!("remove_query {}", sw.remove_query(query)),
+                    2 | 3 => {
+                        let remove: Vec<u8> =
+                            (0..SLICES as u8).filter(|_| rng.gen_bool(0.4)).collect();
+                        let mut add = Vec::new();
+                        for k in (0..SLICES).filter(|_| rng.gen_bool(0.4)).collect::<Vec<_>>() {
+                            let slice = info(k, set(&mut rng), set(&mut rng));
+                            add.push((slice_rules(&mut rng, query, k), slice));
+                        }
+                        let result = sw.apply_slices(query, &remove, &add);
+                        let add: Vec<u8> = add.iter().map(|(_, i)| i.index).collect();
+                        format!("apply_slices -{remove:?} +{add:?}: {result:?}")
+                    }
+                    4 | 5 => {
+                        let k = rng.gen_range(0..SLICES);
+                        let slice = info(k, set(&mut rng), set(&mut rng));
+                        if rng.gen_bool(0.5) {
+                            format!("add_slice {k}: {:?}", sw.add_slice(query, slice))
+                        } else {
+                            format!("set_slice {k}: {:?}", sw.set_slice(query, slice))
+                        }
+                    }
+                    _ => {
+                        let threshold = rng.gen_range(1..4);
+                        let retuned = sw.update_r_rules(query, &mut |r: &mut RRule| {
+                            r.state_match = RMatch::at_least(threshold + r.priority as u32);
+                        });
+                        format!("update_r_rules {retuned}")
+                    }
+                };
+                let ctx = format!("seed {seed} call {call}: query {query} {what}");
+                let (plan, init) = sw.plan();
+                assert_indices_match(plan, init, &ctx);
+
+                let after = programs(plan);
+                for (q, ..) in &after {
+                    if !before.iter().any(|b| b.0 == *q) && after.len() > 1 {
+                        let at = after.iter().position(|a| a.0 == *q).unwrap();
+                        inserted[position(at, after.len())] += 1;
+                    }
+                }
+                for (at, (q, ..)) in before.iter().enumerate() {
+                    if !after.iter().any(|a| a.0 == *q) && before.len() > 1 {
+                        removed[position(at, before.len())] += 1;
+                    }
+                }
+                only_later += after.iter().filter(|&&(_, s0, later)| !s0 && later).count();
+                lost_slice0 += (before.iter())
+                    .filter(|&&(q, s0, later)| s0 && later && after.contains(&(q, false, true)))
+                    .count();
+                never_matching += (init.rules().iter())
+                    .filter(|r| compile_init_rule(r, 0).is_none())
+                    .filter(|r| after.iter().any(|&(q, s0, _)| q == r.query && s0))
+                    .count();
+
+                let mut reference = sw.clone();
+                for (pkt, sp) in &packets {
+                    let a = sw.process(pkt, sp.as_ref());
+                    let b = reference.process_reference(pkt, sp.as_ref());
+                    assert_eq!(a.reports, b.reports, "{ctx}: {pkt:?} {sp:?}");
+                    assert_eq!(a.snapshot, b.snapshot, "{ctx}: {pkt:?} {sp:?}");
+                }
+            }
+        }
+        let counts = (inserted, removed, only_later, lost_slice0, never_matching);
+        assert!(inserted.iter().chain(&removed).all(|&n| n > 0), "{counts:?}");
+        assert!(only_later > 0 && lost_slice0 > 0 && never_matching > 0, "{counts:?}");
     }
 
     /// The compiled classifier must agree with the interpreted table on

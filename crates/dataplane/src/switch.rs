@@ -241,13 +241,19 @@ impl Switch {
         }
     }
 
-    /// Recompile the programs of `queries` and the plan's indices (see
-    /// [`ExecPlan`]). A configuration call recompiles the queries it
+    /// Recompile the programs of `queries` and patch the plan's indices
+    /// (see [`ExecPlan`]). A configuration call recompiles the queries it
     /// touched once, before it returns, so the plan is never stale; the
     /// controller hands each switch its share of an operation as one
     /// [`apply_slices`](Self::apply_slices) call.
     fn recompile(&mut self, queries: &[QueryId]) {
         self.plan.recompile(queries, &self.init, &self.slices, &self.stages);
+    }
+
+    /// The plan and the `newton_init` table its classifier indexes.
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> (&ExecPlan, &InitTable) {
+        (&self.plan, &self.init)
     }
 
     pub fn config(&self) -> &PipelineConfig {

@@ -5,9 +5,9 @@
 //! connection turned into a [`Subscription`] streams journal events.
 
 use crate::json::{self, Value};
-use crate::proto::ErrorKind;
+use crate::proto::{self, ErrorKind};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -71,6 +71,7 @@ impl Client {
     pub fn connect(addr: &str, timeout: Duration) -> Result<Client, ClientError> {
         let sock = TcpStream::connect(addr)?;
         sock.set_read_timeout(Some(timeout))?;
+        sock.set_nodelay(true)?;
         let reader = BufReader::new(sock.try_clone()?);
         Ok(Client { reader, writer: BufWriter::new(sock), next_id: 1 })
     }
@@ -83,10 +84,7 @@ impl Client {
         self.next_id += 1;
         let mut members = vec![("id", json::num(id as f64)), ("op", json::str(op))];
         members.extend(fields);
-        let line = json::obj(members).to_string();
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        proto::write_line(&mut self.writer, json::obj(members).to_string())?;
 
         let mut resp = String::new();
         if self.reader.read_line(&mut resp)? == 0 {

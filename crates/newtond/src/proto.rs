@@ -24,6 +24,7 @@ use crate::server::MAX_RUN_SEGMENTS;
 use newton::net::NetworkEvent;
 use newton::telemetry::QueryId;
 use std::fmt;
+use std::io::{self, Write};
 
 /// One request line, decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,6 +244,18 @@ pub fn stream_line(event_json: &str) -> String {
     format!("{{\"stream\":\"journal\",\"event\":{event_json}}}")
 }
 
+/// Send one protocol line through a buffered socket writer: the line and
+/// its newline go out in one write, then the buffer is flushed. A line
+/// longer than the writer's buffer bypasses it, so writing the newline
+/// apart would send it as a second, one-byte segment, which Nagle's
+/// algorithm holds back until the peer's delayed ACK while the peer waits
+/// for that very newline.
+pub(crate) fn write_line(w: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
 /// Render a journal-truncation marker (no trailing newline): the daemon
 /// dropped `n` events for this subscriber because its backlog exceeded
 /// the configured buffer. Delivered in-stream, before the next event the
@@ -300,6 +313,33 @@ mod tests {
             assert!(e.detail.contains(field), "{bad}: {}", e.detail);
         }
         assert!(run(&format!(r#","segments":{}"#, max + 1)).is_err());
+    }
+
+    /// A writer that records the length of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Through the `BufWriter::new` the server and the client both wrap
+    /// their sockets in, a line longer than the buffer and its newline
+    /// reach the socket as one write, and so does a short line.
+    #[test]
+    fn a_line_and_its_newline_are_one_write() {
+        for len in [20 * 1024, 100] {
+            let mut w = std::io::BufWriter::new(Writes::default());
+            write_line(&mut w, "x".repeat(len)).unwrap();
+            assert_eq!(w.get_ref().0, [len + 1], "a {len}-byte line");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! another sees the same thread order each time, so its peak memory
 //! does not depend on which thread of the previous daemon exited last.
 
-use crate::proto::{self, ErrorKind, Op, Request};
+use crate::proto::{self, write_line, ErrorKind, Op, Request};
 use crate::{json, json::Value};
 use newton::compiler::CompilerConfig;
 use newton::controller::{InstallError, InstallReceipt, RepairOutcome, RetuneError, UpdateError};
@@ -35,7 +35,7 @@ use newton::query::{parse_query, validate};
 use newton::telemetry::QueryId;
 use newton::trace::{ReplayOptions, StreamConfig};
 use newton::{NewtonSystem, RunReport};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -230,6 +230,9 @@ impl Drop for ConnGuard {
 fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
     connections.add(1);
     let _guard = ConnGuard(connections);
+    // Each response is one write followed by a wait for the next request,
+    // so nothing is gained by holding a short segment back.
+    let _ = sock.set_nodelay(true);
     let mut reader = BufReader::new(&*sock);
     let mut writer = BufWriter::new(&*sock);
     let pending = Arc::new(AtomicUsize::new(0));
@@ -243,7 +246,7 @@ fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
         }
         if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
             let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-            let _ = write_line(&mut writer, &proto::err_line(0, ErrorKind::BadRequest, &detail));
+            let _ = write_line(&mut writer, proto::err_line(0, ErrorKind::BadRequest, &detail));
             return;
         }
         let parsed = match std::str::from_utf8(&line) {
@@ -255,7 +258,7 @@ fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
             Ok(req) => req,
             Err(bad) => {
                 let resp = proto::err_line(bad.id, ErrorKind::BadRequest, &bad.detail);
-                if write_line(&mut writer, &resp).is_err() {
+                if write_line(&mut writer, resp).is_err() {
                     return;
                 }
                 continue;
@@ -279,7 +282,7 @@ fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
             return; // daemon stopping
         }
         let Ok(resp) = inbox.recv() else { return };
-        if write_line(&mut writer, &resp).is_err() {
+        if write_line(&mut writer, resp).is_err() {
             return;
         }
         if let Some(ftx) = fence_tx {
@@ -290,7 +293,7 @@ fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
             // One-way from here: forward journal events until the core
             // drops its sender (shutdown) or the client disconnects.
             while let Ok(event_line) = inbox.recv() {
-                let wrote = write_line(&mut writer, &event_line);
+                let wrote = write_line(&mut writer, event_line);
                 // Decrement only after the socket write: a slow client
                 // keeps its backlog visible to the core until the bytes
                 // actually leave, which is what the drop bound measures.
@@ -302,12 +305,6 @@ fn serve_connection(sock: Arc<TcpStream>, tx: Sender<Cmd>, connections: Gauge) {
             return;
         }
     }
-}
-
-fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
 }
 
 /// One retained journal-stream sink with its flow-control state.

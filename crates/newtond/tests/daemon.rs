@@ -4,7 +4,7 @@
 
 use newtond::json::Value;
 use newtond::{Client, Daemon, DaemonConfig, ErrorKind};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The examples/text_intents.rs suite, sent over the wire this time.
 const INTENTS: [(&str, &str); 3] = [
@@ -388,6 +388,32 @@ fn update_round_trips_structured_errors_and_keeps_ids_stable() {
     assert_eq!(queries.len(), 1);
     assert_eq!(queries[0].get("name").unwrap().as_str(), Some("web_conn_burst_v2"));
 
+    ctl.shutdown().expect("shutdown");
+    daemon.join();
+}
+
+/// A response line longer than the 8 KiB socket buffer comes back
+/// without waiting out the client's delayed ACK (about 40 ms on Linux):
+/// the line and its newline leave in one write, and both ends set
+/// `TCP_NODELAY`. Long intent names push `list` past 8 KiB.
+#[test]
+fn a_list_longer_than_the_socket_buffer_answers_promptly() {
+    let daemon = test_daemon();
+    let mut ctl = Client::connect(&daemon.addr().to_string(), TIMEOUT).expect("connect");
+    for (name, intent) in INTENTS {
+        ctl.install(&format!("{name}_{}", "x".repeat(4_000)), intent).expect("install");
+    }
+    let mut round_trips: Vec<Duration> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let list = ctl.list().expect("list");
+            let elapsed = start.elapsed();
+            assert!(list.to_string().len() > 8 * 1024, "list is {} bytes", list.to_string().len());
+            elapsed
+        })
+        .collect();
+    round_trips.sort();
+    assert!(round_trips[2] < Duration::from_millis(20), "list round trips {round_trips:?}");
     ctl.shutdown().expect("shutdown");
     daemon.join();
 }
