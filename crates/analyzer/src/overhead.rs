@@ -12,9 +12,6 @@ pub struct OverheadMeter {
     raw_packets: u64,
     messages: u64,
     message_bytes: u64,
-    /// Packets the network dropped for lack of a route (failures,
-    /// partitions) — traffic monitoring never saw and never will.
-    unrouted: u64,
 }
 
 impl OverheadMeter {
@@ -38,16 +35,6 @@ impl OverheadMeter {
         self.message_bytes += bytes;
     }
 
-    /// Count `n` packets dropped unrouted. They stay in `raw_packets` too
-    /// (they entered the network); this tracks how many never came out.
-    pub fn unrouted(&mut self, n: u64) {
-        self.unrouted += n;
-    }
-
-    pub fn unrouted_packets(&self) -> u64 {
-        self.unrouted
-    }
-
     pub fn raw_packets(&self) -> u64 {
         self.raw_packets
     }
@@ -68,15 +55,6 @@ impl OverheadMeter {
             self.messages as f64 / self.raw_packets as f64
         }
     }
-
-    /// Fold another meter into this one — used to combine per-epoch meters
-    /// into a whole-run total.
-    pub fn merge(&mut self, other: &OverheadMeter) {
-        self.raw_packets += other.raw_packets;
-        self.messages += other.messages;
-        self.message_bytes += other.message_bytes;
-        self.unrouted += other.unrouted;
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +70,6 @@ mod tests {
         }
         assert!((m.ratio() - 0.01).abs() < 1e-12);
         assert_eq!(m.message_bytes(), 640);
-        m.unrouted(7);
-        assert_eq!(m.unrouted_packets(), 7);
-        assert_eq!(m.raw_packets(), 1000, "unrouted packets are not double-counted");
     }
 
     #[test]
@@ -105,28 +80,6 @@ mod tests {
         assert_eq!(m.ratio(), 0.0);
         m.message(64);
         assert_eq!(m.ratio(), 0.0, "messages with zero packets still yield a finite ratio");
-    }
-
-    #[test]
-    fn merge_folds_every_counter() {
-        let mut total = OverheadMeter::new();
-        let mut a = OverheadMeter::new();
-        a.packets(100);
-        a.message(64);
-        a.unrouted(3);
-        let mut b = OverheadMeter::new();
-        b.packets(50);
-        b.message(32);
-        b.message(32);
-        total.merge(&a);
-        total.merge(&b);
-        assert_eq!(total.raw_packets(), 150);
-        assert_eq!(total.messages(), 3);
-        assert_eq!(total.message_bytes(), 128);
-        assert_eq!(total.unrouted_packets(), 3);
-        // Merging an empty meter is the identity.
-        total.merge(&OverheadMeter::default());
-        assert_eq!(total.raw_packets(), 150);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Library performance: single-switch pipeline throughput (compiled
-//! `ExecPlan` path vs the per-packet reference path, plus the telemetry
-//! sinks on the compiled path), the ingress walk's cost per query (each
-//! of Q1–Q9 alone against an empty switch, and Q3 against the same sketch
-//! updates made directly through `newton-sketch`), and network delivery
-//! throughput (per-packet `deliver` vs `deliver_batch`), on the full Q1–Q9
-//! workload.
+//! `ExecPlan` path vs the per-packet reference path), the ingress walk's
+//! cost per query (each of Q1–Q9 alone against an empty switch, and Q3
+//! against the same sketch updates made directly through `newton-sketch`),
+//! and network delivery throughput (per-packet `deliver` vs
+//! `deliver_batch`), on the full Q1–Q9 workload.
 //!
 //! Prints a table and writes machine-readable results to `BENCH_perf.json`
 //! at the repository root.
@@ -18,14 +17,12 @@
 //! same pass count, so the report-count equality checks still pin them to
 //! bit-identical behaviour.
 //!
-//! Acceptance bars asserted here: the ExecPlan pipeline is ≥2× the
-//! reference path, and the telemetry sinks stay cheap on the pipeline hot
-//! path.
+//! Acceptance bar asserted here: the ExecPlan pipeline is ≥2× the
+//! reference path.
 //!
 //! Set `NEWTON_PERF_SMOKE=1` for a CI-sized run: a small trace, fewer
-//! passes, loosened wall-clock margins (the tiny trace is noisier than
-//! the full one; each gate re-measures once before failing, so
-//! shared-runner noise can't flake the job), and no JSON output.
+//! passes, a loosened wall-clock margin (the tiny trace is noisier than
+//! the full one), and no JSON output.
 
 use std::time::Instant;
 
@@ -35,7 +32,6 @@ use newton::net::{Network, NodeId, Topology};
 use newton::packet::{Field, FieldVector, Packet};
 use newton::query::catalog;
 use newton::sketch::{BloomFilter, CountMinSketch};
-use newton::telemetry::{NoopSink, Recorder};
 use newton_bench::{evaluation_traces, peak_rss_json, print_table};
 
 /// Timed passes over the trace; small enough to keep the bench under a
@@ -99,7 +95,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Smoke passes stay cheap (~ms each on the small trace) but there must
     // be several of them: fastest-of-1 on a shared CI runner is noise, and
-    // the wall-clock gates below would flake on it.
+    // the wall-clock gate below would flake on it.
     let (trace_len, pipeline_reps, delivery_reps): (usize, usize, usize) =
         if smoke { (8_000, 3, 3) } else { (40_000, PIPELINE_REPS, DELIVERY_REPS) };
 
@@ -119,25 +115,6 @@ fn main() {
     });
     assert_eq!(plan_sink, ref_sink, "planned and reference paths must emit equal report counts");
     let pipeline_speedup = plan_rate / ref_rate;
-
-    // --- Telemetry sinks on the same hot path. `process_sink::<NoopSink>`
-    // must monomorphize to the plain `process` (the `if T::ENABLED` guard
-    // compiles the sink branch away), so its rate is gated within 2% of
-    // the ExecPlan rate; the recording sink pays for event pushes and is
-    // gated within 15%.
-    let mut sw = q19_switch();
-    let mut noop = NoopSink;
-    let (noop_rate, noop_sink) = best_rate(packets.len(), pipeline_reps, || {
-        packets.iter().map(|p| sw.process_sink(p, None, &mut noop).reports.len()).sum()
-    });
-    assert_eq!(noop_sink, plan_sink, "the no-op sink must not change pipeline behaviour");
-    let mut sw = q19_switch();
-    let mut recorder = Recorder::new();
-    let (recorder_rate, recorder_sink) = best_rate(packets.len(), pipeline_reps, || {
-        recorder.clear();
-        packets.iter().map(|p| sw.process_sink(p, None, &mut recorder).reports.len()).sum()
-    });
-    assert_eq!(recorder_sink, plan_sink, "the recorder sink must not change pipeline behaviour");
 
     // --- Ingress walk per query: `Switch::process` with no snapshot on an
     // empty switch and on a default switch holding one query, and Q3's
@@ -226,16 +203,6 @@ fn main() {
             fmt_rate(plan_rate),
             format!("{pipeline_speedup:.2}x"),
         ],
-        vec![
-            "Switch::process_sink (NoopSink)".into(),
-            fmt_rate(noop_rate),
-            format!("{:.2}x", noop_rate / plan_rate),
-        ],
-        vec![
-            "Switch::process_sink (Recorder)".into(),
-            fmt_rate(recorder_rate),
-            format!("{:.2}x", recorder_rate / plan_rate),
-        ],
         vec!["Network::deliver (sequential)".into(), fmt_rate(seq_rate), "1.00x".into()],
         vec![
             "Network::deliver_batch".into(),
@@ -249,57 +216,18 @@ fn main() {
         &rows,
     );
 
-    // Smoke gates run on shared CI runners with a deliberately tiny trace;
-    // their margins are loosened so only a real regression — not
+    // The smoke gate runs on shared CI runners with a deliberately tiny
+    // trace; its margin is loosened so only a real regression — not
     // noisy-neighbor scheduling — fails the job. The full run keeps the
-    // publication bars.
+    // publication bar.
     let pipeline_floor = if smoke { 1.5 } else { 2.0 };
     assert!(
         pipeline_speedup >= pipeline_floor,
         "acceptance: ExecPlan pipeline must be >= {pipeline_floor}x reference \
          (got {pipeline_speedup:.2}x)"
     );
-    // Telemetry overhead gates. The no-op sink runs the *same machine
-    // code* as `process`, so a measured gap is pure scheduler noise —
-    // re-measure both sides once before failing. Smoke margins are
-    // loosened like the pipeline bar above: the tiny smoke trace swings
-    // ±15% under noisy neighbors.
-    let (noop_floor, recorder_floor) = if smoke { (0.85, 0.70) } else { (0.98, 0.85) };
-    let mut noop_ratio = noop_rate / plan_rate;
-    let mut recorder_ratio = recorder_rate / plan_rate;
-    if noop_ratio < noop_floor || recorder_ratio < recorder_floor {
-        println!(
-            "note: telemetry gate at noop {noop_ratio:.3}x / recorder {recorder_ratio:.3}x \
-             on first measurement, re-measuring once"
-        );
-        let mut sw = q19_switch();
-        let (plan2, _) = best_rate(packets.len(), pipeline_reps, || {
-            packets.iter().map(|p| sw.process(p, None).reports.len()).sum()
-        });
-        let mut sw = q19_switch();
-        let (noop2, _) = best_rate(packets.len(), pipeline_reps, || {
-            packets.iter().map(|p| sw.process_sink(p, None, &mut noop).reports.len()).sum()
-        });
-        let mut sw = q19_switch();
-        let (rec2, _) = best_rate(packets.len(), pipeline_reps, || {
-            recorder.clear();
-            packets.iter().map(|p| sw.process_sink(p, None, &mut recorder).reports.len()).sum()
-        });
-        noop_ratio = noop_ratio.max(noop2 / plan2);
-        recorder_ratio = recorder_ratio.max(rec2 / plan2);
-    }
-    assert!(
-        noop_ratio >= noop_floor,
-        "acceptance: NoopSink pipeline rate must stay within 2% of process \
-         (smoke: 15%) — got {noop_ratio:.3}x"
-    );
-    assert!(
-        recorder_ratio >= recorder_floor,
-        "acceptance: Recorder pipeline rate must stay within 15% of process \
-         (smoke: 30%) — got {recorder_ratio:.3}x"
-    );
     if smoke {
-        println!("\nsmoke mode: equality + perf gates passed, skipping BENCH_perf.json");
+        println!("\nsmoke mode: equality checks + perf gate passed, skipping BENCH_perf.json");
         return;
     }
 
@@ -311,8 +239,6 @@ fn main() {
          \"pipeline_reference_pkts_per_sec\": {ref_rate:.0},\n  \
          \"pipeline_execplan_pkts_per_sec\": {plan_rate:.0},\n  \
          \"pipeline_speedup\": {pipeline_speedup:.3},\n  \
-         \"pipeline_noop_sink_pkts_per_sec\": {noop_rate:.0},\n  \
-         \"pipeline_recorder_pkts_per_sec\": {recorder_rate:.0},\n  \
          \"ingress_empty_ns_per_pkt\": {empty_ns:.1},\n  \
          \"ingress_ns_per_pkt\": {{{}}},\n  \
          \"ingress_q3_sketch_floor_ns_per_pkt\": {q3_floor_ns:.1},\n  \

@@ -11,7 +11,7 @@
 //!            probe registers for deferred query parts → reset state
 //! ```
 
-use newton_analyzer::{Analyzer, IncidentLog, OverheadMeter};
+use newton_analyzer::{Analyzer, IncidentLog};
 use newton_compiler::CompilerConfig;
 use newton_controller::{Controller, InstallReceipt, RepairOutcome};
 use newton_dataplane::{BankStats, PipelineConfig, QueryId};
@@ -23,10 +23,10 @@ use newton_query::ast::Primitive;
 use newton_query::{Interpreter, Query};
 use newton_sketch::hash::mix64;
 use newton_sketch::{FastMap, FastSet};
-use newton_telemetry::{Event, Recorder, Telemetry};
+use newton_telemetry::{Event, Recorder};
 use newton_trace::stream::{ReplayOptions, StreamConfig, StreamMetrics, StreamReplay};
 use newton_trace::Trace;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How packets map to (ingress, egress) edge switches.
 pub enum HostMapping {
@@ -105,6 +105,22 @@ impl RunReport {
             self.messages as f64 / self.packets as f64
         }
     }
+
+    /// Add one epoch's traffic counters to the run totals.
+    fn tally(&mut self, ep: &EpochReport) {
+        self.packets += ep.packets;
+        self.messages += ep.messages;
+        self.unrouted += ep.unrouted;
+        self.snapshot_bytes += ep.snapshot_bytes;
+    }
+}
+
+impl EpochReport {
+    /// Count `n` monitoring messages of `bytes` bytes each.
+    fn add_messages(&mut self, n: u64, bytes: u64) {
+        self.messages += n;
+        self.message_bytes += n * bytes;
+    }
 }
 
 /// In-flight state of one run of the packet-driven epoch driver
@@ -113,20 +129,46 @@ impl RunReport {
 /// materialized traces and streamed segments share the same loop.
 struct RunCursor {
     report: RunReport,
-    meter: OverheadMeter,
-    /// Cumulative-counter checkpoint of the previous epoch boundary that
-    /// turns the run meter into the per-epoch time series.
-    prev: EpochReport,
+    /// The open epoch's counters. Its `index` is the ordinal of the open
+    /// epoch among non-empty windows, the `current_epoch` stamp while it
+    /// executes; [`close_epoch`](NewtonSystem::close_epoch) adds it to the
+    /// run totals and files it.
+    epoch: EpochReport,
+    /// Each link's cumulative load at the previous epoch boundary (at
+    /// `begin_run` for the first epoch), for the journal's per-epoch deltas.
     prev_links: FastMap<LinkKey, LinkLoad>,
     /// Global arrival index of the next packet (the trace-packet hook key).
     pkt_index: u64,
     epoch_ns: u64,
     /// Timestamp window id (`ts_ns / epoch_ns`) of the open epoch, if any.
     window: Option<u64>,
-    /// Ordinal of the open epoch among non-empty windows — the
-    /// `current_epoch` stamp while it executes and its
-    /// [`EpochReport::index`].
-    ordinal: u64,
+}
+
+/// A query the analyzer runs in software on mirrored traffic (§5.2): the
+/// data plane forwards, the interpreter executes, at per-packet mirroring
+/// cost.
+struct SoftwareTwin {
+    interp: Interpreter,
+    cause: TwinCause,
+}
+
+/// Why a query runs in software, which decides how long its twin lives.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TwinCause {
+    /// Its slices exceed the network's reachable depth: the twin lives as
+    /// long as the query.
+    Overflow,
+    /// A failure left the live data plane unable to execute it. `listed`
+    /// tells whether the latest repair pass still lists the query as
+    /// degraded; an unlisted twin retires at the next epoch boundary, or
+    /// when the next run begins.
+    Degraded { listed: bool },
+}
+
+impl SoftwareTwin {
+    fn new(query: &Query, cause: TwinCause) -> Self {
+        SoftwareTwin { interp: Interpreter::new(query.clone()), cause }
+    }
 }
 
 /// Live operational metrics of the control path, registered under one
@@ -207,21 +249,13 @@ pub struct NewtonSystem {
     analyzer: Analyzer,
     mapping: HostMapping,
     stages_per_switch: usize,
-    /// Queries whose slices exceed the network's reachable depth run their
-    /// logic on the analyzer instead (§5.2): the data plane forwards, the
-    /// software executes — at per-packet mirroring cost.
-    software_fallback: HashMap<QueryId, (Query, Interpreter)>,
-    /// Queries a failure has degraded below data-plane coverage: their
-    /// software twins run until a repair pass restores full placement.
-    /// Cleared at the start of every trace run.
-    degraded: HashMap<QueryId, (Query, Interpreter)>,
-    /// The ids the *latest* repair pass still lists as degraded; entries of
-    /// `degraded` absent from this set retire at the next epoch boundary.
-    degraded_ids: FastSet<QueryId>,
+    /// Every query that runs in software, in id order: install-time
+    /// overflow and failure degradation alike.
+    twins: BTreeMap<QueryId, SoftwareTwin>,
     /// Whether scheduled events trigger the controller's repair loop.
     repair_enabled: bool,
-    /// Telemetry sink: `None` (the default) costs nothing; a [`Recorder`]
-    /// journals deterministic per-epoch events.
+    /// Journal writer: `None` (the default) records nothing; a
+    /// [`Recorder`] journals deterministic per-epoch events.
     recorder: Option<Recorder>,
     /// Global packet index to journal a full execution trace for
     /// (the `NEWTON_TRACE_PACKET` hook).
@@ -273,9 +307,7 @@ impl NewtonSystem {
             analyzer: Analyzer::new(),
             mapping: HostMapping::ByAddress,
             stages_per_switch,
-            software_fallback: HashMap::new(),
-            degraded: HashMap::new(),
-            degraded_ids: FastSet::default(),
+            twins: BTreeMap::new(),
             repair_enabled: true,
             recorder: None,
             trace_packet_idx: std::env::var("NEWTON_TRACE_PACKET")
@@ -387,20 +419,31 @@ impl NewtonSystem {
         &mut self.controller
     }
 
+    /// Run one controller operation. With a registry attached it is timed
+    /// into the histogram `hist` picks, failed operations included (a
+    /// scrape should see the cost of rejected work, not only the happy
+    /// path), and the controller's stats are mirrored afterwards.
+    fn timed<R>(
+        &mut self,
+        hist: fn(&SystemMetrics) -> &Histogram,
+        op: impl FnOnce(&mut Controller, &mut Network) -> R,
+    ) -> R {
+        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let out = op(&mut self.controller, &mut self.net);
+        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
+            hist(m).observe(t.elapsed().as_nanos() as u64);
+            m.sync_controller(&self.controller);
+        }
+        out
+    }
+
     /// Install a query network-wide; the analyzer learns its plan.
     pub fn install(
         &mut self,
         query: &Query,
     ) -> Result<InstallReceipt, newton_controller::InstallError> {
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let result = self.controller.install(query, &mut self.net, self.stages_per_switch);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            // Failed installs are timed too: a scrape should see the cost
-            // of rejected work, not only the happy path.
-            m.install_ns.observe(t.elapsed().as_nanos() as u64);
-            m.sync_controller(&self.controller);
-        }
-        let receipt = result?;
+        let stages = self.stages_per_switch;
+        let receipt = self.timed(|m| &m.install_ns, |c, net| c.install(query, net, stages))?;
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(Event::Install {
                 epoch: self.current_epoch,
@@ -418,8 +461,7 @@ impl NewtonSystem {
             // The query needs more switches than any path offers; its
             // remainder cannot execute on the data plane, so the analyzer
             // runs the whole query in software on mirrored traffic.
-            self.software_fallback
-                .insert(receipt.id, (query.clone(), Interpreter::new(query.clone())));
+            self.twins.insert(receipt.id, SoftwareTwin::new(query, TwinCause::Overflow));
         }
         Ok(receipt)
     }
@@ -427,13 +469,8 @@ impl NewtonSystem {
     /// Remove a query everywhere.
     pub fn remove(&mut self, id: QueryId) -> Option<InstallReceipt> {
         self.analyzer.unregister(id);
-        self.software_fallback.remove(&id);
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let receipt = self.controller.remove(id, &mut self.net);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            m.remove_ns.observe(t.elapsed().as_nanos() as u64);
-            m.sync_controller(&self.controller);
-        }
+        self.twins.remove(&id);
+        let receipt = self.timed(|m| &m.remove_ns, |c, net| c.remove(id, net));
         if let (Some(r), Some(rec)) = (&receipt, self.recorder.as_mut()) {
             rec.record(Event::Remove {
                 epoch: self.current_epoch,
@@ -449,20 +486,15 @@ impl NewtonSystem {
     /// Update a live query in place: same [`QueryId`], same register
     /// slot, diff-based rule push when the placement shape is unchanged
     /// (see [`Controller::update`]). The analyzer re-learns the plan and
-    /// the software-fallback twin is refreshed under the stable id, so
-    /// incident attribution and journal spans stay continuous.
+    /// the query's software twin, if any, is refreshed under the stable
+    /// id, so incident attribution and journal spans stay continuous.
     pub fn update(
         &mut self,
         id: QueryId,
         query: &Query,
     ) -> Result<InstallReceipt, newton_controller::UpdateError> {
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let result = self.controller.update(id, query, &mut self.net, self.stages_per_switch);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            m.update_ns.observe(t.elapsed().as_nanos() as u64);
-            m.sync_controller(&self.controller);
-        }
-        let receipt = result?;
+        let stages = self.stages_per_switch;
+        let receipt = self.timed(|m| &m.update_ns, |c, net| c.update(id, query, net, stages))?;
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(Event::Update {
                 epoch: self.current_epoch,
@@ -477,10 +509,13 @@ impl NewtonSystem {
         let plan = self.controller.installed()[&receipt.id].plan.clone();
         self.analyzer.unregister(id);
         self.analyzer.register(receipt.id, plan);
-        self.software_fallback.remove(&id);
-        if receipt.overflow_slices > 0 {
-            self.software_fallback
-                .insert(receipt.id, (query.clone(), Interpreter::new(query.clone())));
+        // An overflow twin follows the new receipt; a degraded twin runs
+        // the new query until the next repair pass says otherwise.
+        let degraded =
+            self.twins.remove(&id).map(|t| t.cause).filter(|&c| c != TwinCause::Overflow);
+        let overflow = (receipt.overflow_slices > 0).then_some(TwinCause::Overflow);
+        if let Some(cause) = overflow.or(degraded) {
+            self.twins.insert(id, SoftwareTwin::new(query, cause));
         }
         Ok(receipt)
     }
@@ -493,18 +528,13 @@ impl NewtonSystem {
         id: QueryId,
         new_threshold: u64,
     ) -> Result<InstallReceipt, newton_controller::RetuneError> {
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let result = self.controller.retune_threshold(id, new_threshold, &mut self.net);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            m.retune_ns.observe(t.elapsed().as_nanos() as u64);
-            m.sync_controller(&self.controller);
-        }
-        result
+        self.timed(|m| &m.retune_ns, |c, net| c.retune_threshold(id, new_threshold, net))
     }
 
-    /// Whether a query fell back to software execution.
+    /// Whether a query runs in software because its slices exceed the
+    /// network's reachable depth.
     pub fn runs_in_software(&self, id: QueryId) -> bool {
-        self.software_fallback.contains_key(&id)
+        self.twins.get(&id).is_some_and(|t| t.cause == TwinCause::Overflow)
     }
 
     /// One mirrored message per packet matching any branch's front
@@ -615,26 +645,28 @@ impl NewtonSystem {
         self.end_run(cur, events)
     }
 
-    /// Set up a run of the packet-driven epoch driver: degraded-set reset
-    /// and a fresh [`RunCursor`]. The driver
-    /// is `begin_run` → [`ingest_slice`](Self::ingest_slice) (any number
-    /// of timestamp-ordered slices) → [`end_run`](Self::end_run); epoch
+    /// Set up a run of the packet-driven epoch driver and return a fresh
+    /// [`RunCursor`]. Degraded twins that the latest repair pass no longer
+    /// lists retire; the listed ones keep running, since the failure that
+    /// degraded them still stands. The driver is `begin_run` →
+    /// [`ingest_slice`](Self::ingest_slice) (any number of
+    /// timestamp-ordered slices) → [`end_run`](Self::end_run); epoch
     /// boundaries are detected per packet from its timestamp window, so
     /// materialized traces and streamed segments share every line of the
     /// loop.
     fn begin_run(&mut self, epoch_ms: u64) -> RunCursor {
-        self.degraded.clear();
-        self.degraded_ids.clear();
+        self.twins.retain(|_, t| t.cause != TwinCause::Degraded { listed: false });
         self.current_epoch = 0;
         RunCursor {
             report: RunReport::default(),
-            meter: OverheadMeter::new(),
-            prev: EpochReport::default(),
-            prev_links: FastMap::default(),
+            epoch: EpochReport::default(),
+            // Link counters are cumulative over the network's lifetime:
+            // the first epoch's deltas start from where the last run left
+            // them.
+            prev_links: self.net.link_loads_sorted().into_iter().collect(),
             pkt_index: 0,
             epoch_ns: epoch_ms.max(1) * 1_000_000,
             window: None,
-            ordinal: 0,
         }
     }
 
@@ -662,29 +694,28 @@ impl NewtonSystem {
                     // The slice crossed into a later window (packets are
                     // sorted): boundary work for the open epoch, then the
                     // new window opens under the next ordinal.
-                    self.flush_batch(&mut batch, &mut cur.report, &mut cur.meter);
+                    self.flush_batch(&mut batch, &mut cur.epoch);
                     self.close_epoch(cur, events);
                     cur.window = Some(w);
-                    cur.ordinal += 1;
-                    self.current_epoch = cur.ordinal;
+                    self.current_epoch = cur.epoch.index;
                 }
                 None => cur.window = Some(w),
             }
-            cur.meter.packet();
+            cur.epoch.packets += 1;
             // Packets queued so far must route under the pre-event
             // state: flush the batch before any scheduled dynamic
             // fires, then advance the schedule and repair.
             if events.next_ts().is_some_and(|t| pkt.ts_ns >= t) {
-                self.flush_batch(&mut batch, &mut cur.report, &mut cur.meter);
+                self.flush_batch(&mut batch, &mut cur.epoch);
                 let adv = events.advance_network(pkt.ts_ns, &mut self.net);
-                self.apply_dynamics(adv, &mut cur.report, &mut cur.meter);
+                self.apply_dynamics(adv, cur);
             }
             let (ingress, egress) = self.endpoints(pkt);
             if self.trace_packet_idx == Some(cur.pkt_index) && self.recorder.is_some() {
                 // Flush so the traced packet sees exactly the ingress
                 // state it would meet in delivery order, then walk a
                 // cloned switch — the real one is untouched.
-                self.flush_batch(&mut batch, &mut cur.report, &mut cur.meter);
+                self.flush_batch(&mut batch, &mut cur.epoch);
                 let traces: Vec<String> =
                     newton_dataplane::debug::trace_packet(self.net.switch(ingress), pkt)
                         .iter()
@@ -700,27 +731,24 @@ impl NewtonSystem {
             }
             cur.pkt_index += 1;
             batch.push((pkt, ingress, egress));
-            for (query, interp) in
-                self.software_fallback.values_mut().chain(self.degraded.values_mut())
-            {
-                if Self::fallback_mirrors(query, pkt) {
-                    cur.meter.message(pkt.wire_len as u64);
-                    interp.observe(pkt);
+            for twin in self.twins.values_mut() {
+                if Self::fallback_mirrors(twin.interp.query(), pkt) {
+                    cur.epoch.add_messages(1, pkt.wire_len as u64);
+                    twin.interp.observe(pkt);
                 }
             }
         }
-        self.flush_batch(&mut batch, &mut cur.report, &mut cur.meter);
+        self.flush_batch(&mut batch, &mut cur.epoch);
         self.batch_hint = self.batch_hint.max(batch.capacity());
     }
 
     /// The boundary work of the open epoch: fire in-window trailing
-    /// events, probe-and-finalize the analyzer, retire healed software
-    /// twins, checkpoint the per-epoch time-series entry, journal the
-    /// epoch telemetry, and reset data-plane state. The delivery batch
-    /// must already be flushed.
+    /// events, probe-and-finalize the analyzer, file every query's keys,
+    /// retire healed software twins, add the epoch to the run totals and
+    /// file it, journal the epoch telemetry, and reset data-plane state.
+    /// The delivery batch must already be flushed.
     fn close_epoch(&mut self, cur: &mut RunCursor, events: &mut newton_net::EventSchedule) {
         let Some(window) = cur.window else { return };
-        let epoch_idx = cur.ordinal;
         // Epochs are timestamp windows; the window's own end, not the
         // last packet's timestamp, is when boundary work happens.
         // Events timestamped after the epoch's last packet still
@@ -730,74 +758,39 @@ impl NewtonSystem {
         let epoch_end_ns = (window + 1) * cur.epoch_ns;
         if events.next_ts().is_some_and(|t| t <= epoch_end_ns) {
             let adv = events.advance_network(epoch_end_ns, &mut self.net);
-            self.apply_dynamics(adv, &mut cur.report, &mut cur.meter);
+            self.apply_dynamics(adv, cur);
         }
+        let next = EpochReport { index: cur.epoch.index + 1, ..EpochReport::default() };
+        let mut ep = std::mem::replace(&mut cur.epoch, next);
         let report = &mut cur.report;
-        let mut epoch_reported: FastMap<QueryId, u64> = FastMap::default();
+        let mut counts: BTreeMap<QueryId, u64> = BTreeMap::new();
         for (id, keys) in self.finish_epoch() {
-            *epoch_reported.entry(id).or_default() += keys.len() as u64;
-            report.incidents.observe_epoch(id, keys.iter().copied());
-            report.reported.entry(id).or_default().extend(keys);
+            file_keys(report, &mut counts, id, keys.iter().copied());
         }
-        for (&id, (_, interp)) in &mut self.software_fallback {
-            let keys = interp.end_epoch().reported;
-            *epoch_reported.entry(id).or_default() += keys.len() as u64;
-            report.incidents.observe_epoch(id, keys.iter().copied());
-            report.reported.entry(id).or_default().extend(keys);
-        }
-        // Degraded queries report from their software twins; twins the
-        // latest repair pass cleared retire here — degradation lasts
-        // "the remainder of the epoch".
-        let mut healed: Vec<QueryId> = Vec::new();
-        for (&id, (_, interp)) in &mut self.degraded {
+        // Software twins report in id order. A degraded twin that the
+        // latest repair pass no longer lists retires here: degradation
+        // lasts "the remainder of the epoch".
+        let Self { twins, recorder, .. } = self;
+        twins.retain(|&id, twin| {
+            let keys = twin.interp.end_epoch().reported;
+            file_keys(report, &mut counts, id, keys.iter().copied());
+            let TwinCause::Degraded { listed } = twin.cause else { return true };
             report.degraded_query_epochs += 1;
-            let keys = interp.end_epoch().reported;
-            *epoch_reported.entry(id).or_default() += keys.len() as u64;
-            report.incidents.observe_epoch(id, keys.iter().copied());
-            report.reported.entry(id).or_default().extend(keys);
-            if !self.degraded_ids.contains(&id) {
-                healed.push(id);
+            if let (false, Some(rec)) = (listed, recorder.as_mut()) {
+                rec.record(Event::QueryHealed { epoch: ep.index, query: id });
             }
-        }
-        // Sorted so heal events journal in a canonical order (the
-        // degraded map iterates in hash order).
-        healed.sort_unstable();
-        for id in healed {
-            self.degraded.remove(&id);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(Event::QueryHealed { epoch: epoch_idx, query: id });
-            }
-        }
+            listed
+        });
         report.incidents.end_epoch();
-        // The epoch's time-series entry: deltas of the cumulative run
-        // counters since the previous boundary.
-        let mut reported: Vec<(QueryId, u64)> = epoch_reported.into_iter().collect();
-        reported.sort_unstable_by_key(|&(q, _)| q);
-        let ep = EpochReport {
-            index: epoch_idx,
-            packets: cur.meter.raw_packets() - cur.prev.packets,
-            messages: cur.meter.messages() - cur.prev.messages,
-            message_bytes: cur.meter.message_bytes() - cur.prev.message_bytes,
-            unrouted: cur.meter.unrouted_packets() - cur.prev.unrouted,
-            snapshot_bytes: report.snapshot_bytes - cur.prev.snapshot_bytes,
-            reported,
-        };
-        cur.prev = EpochReport {
-            packets: cur.meter.raw_packets(),
-            messages: cur.meter.messages(),
-            message_bytes: cur.meter.message_bytes(),
-            unrouted: cur.meter.unrouted_packets(),
-            snapshot_bytes: cur.report.snapshot_bytes,
-            ..EpochReport::default()
-        };
+        ep.reported = counts.into_iter().collect();
+        report.tally(&ep);
         if self.recorder.is_some() {
             self.emit_epoch_telemetry(&ep, &mut cur.prev_links);
         }
         cur.report.epoch_count += 1;
         if let Some(cap) = self.epoch_retention {
-            while cur.report.epochs.len() >= cap.max(1) {
-                cur.report.epochs.remove(0);
-            }
+            let excess = (cur.report.epochs.len() + 1).saturating_sub(cap.max(1));
+            cur.report.epochs.drain(..excess);
         }
         cur.report.epochs.push(ep);
         self.net.clear_state();
@@ -805,15 +798,14 @@ impl NewtonSystem {
 
     /// Close the final epoch, drain the event schedule past the trace end
     /// (schedules always finish empty — replays would otherwise see stale
-    /// cursors), and finalize the run totals.
+    /// cursors), and finalize the run totals: repair messages that trailing
+    /// events cost belong to no epoch, but count toward the run.
     fn end_run(&mut self, mut cur: RunCursor, events: &mut newton_net::EventSchedule) -> RunReport {
         self.close_epoch(&mut cur, events);
         self.current_epoch = cur.report.epoch_count;
         let adv = events.advance_network(u64::MAX, &mut self.net);
-        self.apply_dynamics(adv, &mut cur.report, &mut cur.meter);
-        cur.report.messages = cur.meter.messages();
-        cur.report.packets = cur.meter.raw_packets();
-        cur.report.unrouted = cur.meter.unrouted_packets();
+        self.apply_dynamics(adv, &mut cur);
+        cur.report.tally(&cur.epoch);
         cur.report
     }
 
@@ -887,37 +879,29 @@ impl NewtonSystem {
         }
     }
 
-    /// Deliver and drain the queued batch into the report and meter.
-    fn flush_batch(
-        &mut self,
-        batch: &mut Vec<(&Packet, NodeId, NodeId)>,
-        report: &mut RunReport,
-        meter: &mut OverheadMeter,
-    ) {
+    /// Deliver and drain the queued batch into the open epoch's counters
+    /// (each mirrored report is one 32-byte message).
+    fn flush_batch(&mut self, batch: &mut Vec<(&Packet, NodeId, NodeId)>, ep: &mut EpochReport) {
         let out = self.net.deliver_batch(batch);
         batch.clear();
-        report.snapshot_bytes += out.snapshot_bytes as u64;
-        meter.unrouted(out.unrouted as u64);
+        ep.snapshot_bytes += out.snapshot_bytes as u64;
+        ep.unrouted += out.unrouted as u64;
+        ep.add_messages(out.reports.len() as u64, 32);
         for (_, r) in out.reports {
-            meter.message(32);
             self.analyzer.ingest(&r);
         }
     }
 
     /// Bookkeeping after an [`EventSchedule`](newton_net::EventSchedule)
     /// advance: account state loss, then run the controller's repair pass
-    /// and refresh the degraded set. Repair rule pushes are charged to the
-    /// meter as control-channel messages and to the report as modelled
-    /// rule-channel delay.
-    fn apply_dynamics(
-        &mut self,
-        adv: newton_net::AdvanceOutcome,
-        report: &mut RunReport,
-        meter: &mut OverheadMeter,
-    ) {
+    /// and refresh the software twins. Repair rule pushes are charged to
+    /// the open epoch as 64-byte control-channel messages and to the
+    /// report as modelled rule-channel delay.
+    fn apply_dynamics(&mut self, adv: newton_net::AdvanceOutcome, cur: &mut RunCursor) {
         if adv.fired == 0 {
             return;
         }
+        let report = &mut cur.report;
         report.state_loss_events += adv.state_loss as u64;
         if adv.state_loss > 0 {
             if let Some(rec) = self.recorder.as_mut() {
@@ -931,27 +915,20 @@ impl NewtonSystem {
             return;
         }
         let outcome = self.repair_pass();
-        report.repairs += outcome.repaired.len() as u64;
-        report.repair_delay_ms += outcome.delay_ms;
-        for _ in 0..outcome.rules_installed {
-            meter.message(64);
-        }
+        cur.report.repairs += outcome.repaired.len() as u64;
+        cur.report.repair_delay_ms += outcome.delay_ms;
+        cur.epoch.add_messages(outcome.rules_installed as u64, 64);
     }
 
     /// One controller repair pass over the live topology, with full
     /// telemetry and degraded-twin bookkeeping: re-places slices lost to
-    /// switch crashes, journals the span, and swaps software interpreters
-    /// in (or marks them for retirement) for queries the live data plane
-    /// can or cannot execute. Shared by the in-run event path
+    /// switch crashes, journals the span, starts a software twin for each
+    /// newly degraded query and marks every degraded twin listed or not.
+    /// Shared by the in-run event path
     /// ([`apply_dynamics`](Self::apply_dynamics)) and the live service path
     /// ([`repair_now`](Self::repair_now)).
     fn repair_pass(&mut self) -> RepairOutcome {
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let outcome = self.controller.repair(&mut self.net);
-        if let (Some(m), Some(t)) = (self.metrics.as_ref(), start) {
-            m.repair_ns.observe(t.elapsed().as_nanos() as u64);
-            m.sync_controller(&self.controller);
-        }
+        let outcome = self.timed(|m| &m.repair_ns, |c, net| c.repair(net));
         if let Some(rec) = self.recorder.as_mut() {
             // `repaired`/`degraded` come out sorted (the repair pass walks
             // query ids in order), so the span is canonical as-is.
@@ -965,21 +942,22 @@ impl NewtonSystem {
                 delay_ms: outcome.delay_ms,
             });
         }
-        self.degraded_ids.clear();
+        for (id, twin) in &mut self.twins {
+            if let TwinCause::Degraded { listed } = &mut twin.cause {
+                *listed = outcome.degraded.contains(id);
+            }
+        }
         for &id in &outcome.degraded {
-            // Overflow queries already run whole in software; no second
-            // interpreter.
-            if self.software_fallback.contains_key(&id) {
+            // A query with a twin already runs in software: an overflow
+            // query whole, a degraded one since an earlier pass.
+            if self.twins.contains_key(&id) {
                 continue;
             }
-            self.degraded_ids.insert(id);
-            if !self.degraded.contains_key(&id) {
-                if let Some(entry) = self.controller.installed().get(&id) {
-                    self.degraded
-                        .insert(id, (entry.query.clone(), Interpreter::new(entry.query.clone())));
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(Event::QueryDegraded { epoch: self.current_epoch, query: id });
-                    }
+            if let Some(entry) = self.controller.installed().get(&id) {
+                let twin = SoftwareTwin::new(&entry.query, TwinCause::Degraded { listed: true });
+                self.twins.insert(id, twin);
+                if let Some(rec) = self.recorder.as_mut() {
+                    rec.record(Event::QueryDegraded { epoch: self.current_epoch, query: id });
                 }
             }
         }
@@ -1007,11 +985,11 @@ impl NewtonSystem {
 
     /// Run a controller repair pass **now** — the live service twin of the
     /// in-run repair triggered by scheduled events. Journals the repair
-    /// span and maintains the degraded-query software twins. Note the live
-    /// path caveat: software twins only observe traffic inside a
-    /// subsequent `run_*` call, and `begin_run` re-derives nothing — a
-    /// failure left standing across runs should be repaired (or scheduled
-    /// as an in-run event) before the next run starts.
+    /// span and maintains the degraded-query software twins. Software
+    /// twins observe traffic only inside a `run_*` call: a query this pass
+    /// lists as degraded runs in software through the next run (until an
+    /// in-run repair pass stops listing it), and one it no longer lists
+    /// retires when that run begins.
     pub fn repair_now(&mut self) -> RepairOutcome {
         self.repair_pass()
     }
@@ -1038,6 +1016,19 @@ impl NewtonSystem {
         };
         self.analyzer.end_epoch(&read)
     }
+}
+
+/// File one query's reported keys for the closing epoch: its per-query
+/// count, its incidents, and the run's union of reported keys.
+fn file_keys(
+    report: &mut RunReport,
+    counts: &mut BTreeMap<QueryId, u64>,
+    id: QueryId,
+    keys: impl ExactSizeIterator<Item = u64> + Clone,
+) {
+    *counts.entry(id).or_default() += keys.len() as u64;
+    report.incidents.observe_epoch(id, keys.clone());
+    report.reported.entry(id).or_default().extend(keys);
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@ use crate::resources::ResourceVector;
 use crate::rules::{QueryId, RuleSet};
 use newton_packet::{FieldVector, Packet, SnapshotHeader};
 use newton_sketch::FastMap;
-use newton_telemetry::{Event, NoopSink, Telemetry};
 
 /// Pipeline initialization parameters (the "P4 program" knobs).
 #[derive(Debug, Clone, Copy)]
@@ -727,33 +726,8 @@ impl Switch {
     /// into a fresh vector.
     #[inline]
     pub fn process(&mut self, pkt: &Packet, sp_in: Option<&SnapshotHeader>) -> PipelineOutput {
-        self.process_sink(pkt, sp_in, &mut NoopSink)
-    }
-
-    /// [`process`](Self::process) with a telemetry sink: emits one
-    /// [`Event::SwitchReport`] per report the walk produced, in emission
-    /// order. Every sink touch sits behind `T::ENABLED`, a compile-time
-    /// constant, so with [`newton_telemetry::NoopSink`] this
-    /// monomorphizes to the uninstrumented path — the perf bench gates
-    /// that at < 2 % overhead on the pipeline hot path.
-    pub fn process_sink<T: Telemetry>(
-        &mut self,
-        pkt: &Packet,
-        sp_in: Option<&SnapshotHeader>,
-        sink: &mut T,
-    ) -> PipelineOutput {
         let mut out = PipelineOutput::default();
         out.snapshot = self.process_into(pkt, sp_in, &mut out.reports);
-        if T::ENABLED {
-            for r in &out.reports {
-                sink.record(Event::SwitchReport {
-                    query: r.query,
-                    branch: r.branch,
-                    hash: r.hash_result,
-                    state: r.state_result,
-                });
-            }
-        }
         out
     }
 

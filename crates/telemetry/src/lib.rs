@@ -3,15 +3,10 @@
 //! The paper's whole evaluation is a set of *time series* — per-stage
 //! resource curves (Figs. 10–13), message overhead over epochs, failure
 //! timelines (Fig. 9) — so the runtime needs first-class counters instead
-//! of one end-of-run aggregate. This crate provides:
-//!
-//! * [`Telemetry`] — a sink trait with a zero-overhead [`NoopSink`]
-//!   default. `NoopSink` sets `ENABLED = false`, so every instrumentation
-//!   site guarded by `if T::ENABLED { ... }` monomorphizes to no code at
-//!   all (the perf bench gates this at < 2 % on the pipeline hot path).
-//! * [`Recorder`] — the real sink: a structured, **deterministic**
-//!   [`Journal`] keyed by modeled time (epoch index / modeled ms, never
-//!   wall clock).
+//! of one end-of-run aggregate. This crate provides the [`Recorder`]: a
+//! structured, **deterministic** [`Journal`] keyed by modeled time (epoch
+//! index / modeled ms, never wall clock). A component that journals holds
+//! an `Option<Recorder>`; with none attached it records nothing.
 //!
 //! The journal's hard guarantee: for a fixed trace and event schedule it
 //! is byte-identical from run to run. Anything that cannot promise that
@@ -117,8 +112,8 @@ pub enum Event {
     QueryHealed { epoch: u64, query: QueryId },
     /// Switch failures that destroyed installed rules this epoch.
     StateLoss { epoch: u64, switches: usize },
-    /// Dataplane hot path: one report emitted by the PHV walk
-    /// (recorded by `Switch::process_sink` when the sink is enabled).
+    /// Dataplane hot path: one report emitted by the PHV walk, for a
+    /// caller that journals a switch's reports itself.
     SwitchReport { query: QueryId, branch: u8, hash: u32, state: u32 },
     /// One packet's full execution trace (the `NEWTON_TRACE_PACKET`
     /// hook), rendered per query.
@@ -138,27 +133,7 @@ impl Event {
     }
 }
 
-/// A telemetry sink. Instrumentation sites guard event construction with
-/// `if T::ENABLED { ... }`; [`NoopSink`] sets the flag to `false` so the
-/// whole branch — including event construction — compiles away.
-pub trait Telemetry {
-    /// Whether this sink observes anything at all.
-    const ENABLED: bool = true;
-    /// Record one event.
-    fn record(&mut self, event: Event);
-}
-
-/// The zero-overhead default sink: records nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl Telemetry for NoopSink {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn record(&mut self, _event: Event) {}
-}
-
-/// The recording sink: a deterministic [`Journal`].
+/// The journal writer: records events into a deterministic [`Journal`].
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     pub journal: Journal,
@@ -169,15 +144,14 @@ impl Recorder {
         Self::default()
     }
 
+    /// Record one event.
+    pub fn record(&mut self, event: Event) {
+        self.journal.push(event);
+    }
+
     /// Drop everything recorded so far.
     pub fn clear(&mut self) {
         self.journal.clear();
-    }
-}
-
-impl Telemetry for Recorder {
-    fn record(&mut self, event: Event) {
-        self.journal.push(event);
     }
 }
 
@@ -424,23 +398,6 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_sink_is_disabled_at_compile_time() {
-        // The instrumentation idiom: event construction sits behind the
-        // const flag, so with NoopSink this entire branch is dead code.
-        fn instrument<T: Telemetry>(sink: &mut T) -> bool {
-            if T::ENABLED {
-                sink.record(Event::StateLoss { epoch: 0, switches: 1 });
-                return true;
-            }
-            false
-        }
-        assert!(!instrument(&mut NoopSink));
-        let mut rec = Recorder::new();
-        assert!(instrument(&mut rec));
-        assert_eq!(rec.journal.len(), 1);
-    }
 
     #[test]
     fn jsonl_is_deterministic_and_escaped() {

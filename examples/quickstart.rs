@@ -67,10 +67,8 @@ fn main() {
     );
     let victim = injection.guilty;
 
-    // 5. Run the trace through the pipeline in 100 ms epochs, with a
-    //    telemetry recorder observing the hot path (`process_sink` with
-    //    the default `NoopSink` costs nothing; a `Recorder` journals every
-    //    report).
+    // 5. Run the trace through the pipeline in 100 ms epochs, journaling
+    //    every report the switch emits into a telemetry recorder.
     let mut meter = OverheadMeter::new();
     let mut recorder = Recorder::new();
     let report_field = compiled.plan.branches[0].report_field;
@@ -78,8 +76,14 @@ fn main() {
     for (e, epoch) in trace.epochs(100).enumerate() {
         for pkt in epoch {
             meter.packet();
-            for report in switch.process_sink(pkt, None, &mut recorder).reports {
+            for report in switch.process(pkt, None).reports {
                 meter.message(32);
+                recorder.record(Event::SwitchReport {
+                    query: report.query,
+                    branch: report.branch,
+                    hash: report.hash_result,
+                    state: report.state_result,
+                });
                 let key = FieldVector(report.op_keys).get(report_field);
                 rows.push(vec![
                     e.to_string(),
@@ -106,5 +110,5 @@ fn main() {
         meter.raw_packets(),
         meter.ratio()
     );
-    assert_eq!(journaled as u64, meter.messages(), "the sink saw every report");
+    assert_eq!(journaled as u64, meter.messages(), "the recorder saw every report");
 }

@@ -98,15 +98,22 @@ fn schedule() -> EventSchedule {
         .at(RESTORE_NS, NetworkEvent::RestoreSwitch { s: 0 })
 }
 
-fn run(trace: &Trace, repair: bool) -> (u32, RunReport) {
+/// A fresh system on the diamond with Q4 installed; returns it with the
+/// query's id.
+fn system(repair: bool) -> (NewtonSystem, u32) {
     let mut sys = NewtonSystem::new(sole_edge_topo());
     sys.set_mapping(HostMapping::Fixed { ingress: 0, egress: 5 });
     sys.set_repair(repair);
-    let receipt = sys.install(&catalog::q4_port_scan()).unwrap();
+    let id = sys.install(&catalog::q4_port_scan()).unwrap().id;
+    (sys, id)
+}
+
+fn run(trace: &Trace, repair: bool) -> (u32, RunReport) {
+    let (mut sys, id) = system(repair);
     let mut events = schedule();
     let report = sys.run_trace_with_events(trace, EPOCH_MS, &mut events);
     assert_eq!(events.pending(), 0, "all scheduled events fired");
-    (receipt.id, report)
+    (id, report)
 }
 
 /// The scanner's incident for `query`: (first_epoch, last_epoch,
@@ -166,6 +173,38 @@ fn without_repair_the_query_dies_with_its_switch() {
     assert_eq!(report.repairs, 0, "repair was disabled");
     assert_eq!(report.repair_delay_ms, 0.0);
     assert_eq!(report.degraded_query_epochs, 0, "no software fallback without the repair loop");
+}
+
+#[test]
+fn a_failure_left_standing_keeps_its_software_twin_into_the_next_run() {
+    let (trace, scanner) = scan_every_epoch();
+    // In-run: the crash fires before the first packet, so the query runs
+    // in software for the whole trace.
+    let (mut in_run, id) = system(true);
+    let mut crash = EventSchedule::new().at(0, NetworkEvent::FailSwitch { s: 0 });
+    let scheduled = in_run.run_trace_with_events(&trace, EPOCH_MS, &mut crash);
+    assert_eq!(scheduled.degraded_query_epochs, 4);
+
+    // Service path (newtond's `inject` + `repair`): the same crash, applied
+    // and repaired before the run, must cover the run the same way.
+    let (mut service, _) = system(true);
+    service.inject_event(NetworkEvent::FailSwitch { s: 0 });
+    assert_eq!(service.repair_now().degraded, vec![id]);
+    let served = service.run_trace(&trace, EPOCH_MS);
+    assert_eq!(scanner_incident(&served, id, scanner as u64), (0, 3, 4));
+    assert_eq!(
+        (&served.reported, &served.epochs, served.messages, served.degraded_query_epochs),
+        (&scheduled.reported, &scheduled.epochs, scheduled.messages, 4),
+        "the twin must run as it does when the crash is scheduled in-run"
+    );
+
+    // Restored and repaired between runs: the twin retires as the next run
+    // begins, and the re-placed hardware detects on its own.
+    service.inject_event(NetworkEvent::RestoreSwitch { s: 0 });
+    assert!(service.repair_now().degraded.is_empty());
+    let healed = service.run_trace(&trace, EPOCH_MS);
+    assert_eq!(healed.degraded_query_epochs, 0);
+    assert_eq!(scanner_incident(&healed, id, scanner as u64), (0, 3, 4));
 }
 
 #[test]

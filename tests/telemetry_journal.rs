@@ -7,13 +7,9 @@
 //! run-to-run determinism. Wall-clock facts live only in the metrics
 //! registry, never in the journal.
 //!
-//! Also covered here:
-//! * `NoopSink` functional equivalence: `Switch::process_sink` with the
-//!   no-op sink is bit-identical to plain `Switch::process` (the
-//!   `ENABLED = false` branch compiles to the uninstrumented path).
-//! * The `NEWTON_TRACE_PACKET` hook (via its programmatic twin
-//!   [`NewtonSystem::set_trace_packet`]): the journaled `packet_trace`
-//!   event is itself deterministic.
+//! Also covered here: the `NEWTON_TRACE_PACKET` hook (via its
+//! programmatic twin [`NewtonSystem::set_trace_packet`]): the journaled
+//! `packet_trace` event is itself deterministic.
 
 use newton::net::{EventSchedule, NetworkEvent, Topology};
 use newton::query::catalog;
@@ -157,41 +153,30 @@ fn packet_trace_event_is_thread_count_invariant() {
 }
 
 #[test]
-fn noop_sink_is_functionally_identical_to_plain_process() {
-    use newton::compiler::{compile, CompilerConfig};
-    use newton::dataplane::{PipelineConfig, Switch};
-    use newton::telemetry::{NoopSink, Recorder, Telemetry};
+fn a_second_run_of_the_same_stream_journals_the_same_bytes() {
+    use newton::trace::stream::{ReplayOptions, StreamConfig};
 
-    // NoopSink advertises ENABLED = false, so every instrumentation site
-    // is a dead branch.
-    const { assert!(!<NoopSink as Telemetry>::ENABLED) };
-
-    let trace = busy_trace();
-    let compiled = compile(&catalog::q4_port_scan(), 1, &CompilerConfig::default());
-    let mut plain = Switch::new(PipelineConfig::default());
-    let mut noop = Switch::new(PipelineConfig::default());
-    let mut recorded = Switch::new(PipelineConfig::default());
-    for sw in [&mut plain, &mut noop, &mut recorded] {
-        sw.install(&compiled.rules).unwrap();
+    // Link counters are cumulative over the network's lifetime; each
+    // run's first epoch must journal only its own link traffic.
+    let cfg = StreamConfig {
+        segments: 3,
+        segment: TraceConfig { packets: 4_000, duration_ms: 100, ..TraceConfig::default() },
+        ..StreamConfig::default()
+    };
+    let mut sys = NewtonSystem::new(Topology::fat_tree(4));
+    sys.install(&catalog::q1_new_tcp()).unwrap();
+    let mut journal_of_run = || {
+        sys.enable_recorder();
+        sys.run_stream(&cfg, 100, &ReplayOptions::default());
+        sys.take_recorder().expect("recorder attached").journal.to_jsonl()
+    };
+    let first = journal_of_run();
+    assert!(first.contains("\"type\":\"link_load\",\"epoch\":0"), "epoch 0 loads links");
+    let second = journal_of_run();
+    if let Some((a, b)) = first.lines().zip(second.lines()).find(|(a, b)| a != b) {
+        panic!("the second run journaled different bytes:\n first: {a}\nsecond: {b}");
     }
-
-    let mut sink = NoopSink;
-    let mut rec = Recorder::new();
-    let mut reports = 0usize;
-    for pkt in trace.packets() {
-        let a = plain.process(pkt, None);
-        let b = noop.process_sink(pkt, None, &mut sink);
-        let c = recorded.process_sink(pkt, None, &mut rec);
-        assert_eq!(a.reports, b.reports, "NoopSink changed reports on {pkt:?}");
-        assert_eq!(a.snapshot, b.snapshot, "NoopSink changed snapshots on {pkt:?}");
-        assert_eq!(a.reports, c.reports, "Recorder changed reports on {pkt:?}");
-        reports += a.reports.len();
-    }
-    assert!(reports > 0, "the scan fires, so the comparison is non-trivial");
-    // The recorder journaled exactly one switch_report event per report.
-    let journaled =
-        rec.journal.events().iter().filter(|e| matches!(e, Event::SwitchReport { .. })).count();
-    assert_eq!(journaled, reports);
+    assert_eq!(second.len(), first.len(), "the second run journaled a different length");
 }
 
 mod proptests {
